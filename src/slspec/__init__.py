@@ -18,9 +18,8 @@ from .glkernel import (KernelError, KernelField, coercivity_check, gh_values,
                        phi_diag_derivative, phi_kernel, solve_kernel)
 from .jost import JostError, JostSample, jost, jost_bound, jost_identity_check
 from .reconstruct import (ReconstructError, ReconstructionResult, ScaledMatrix,
-                          SingularFamilyError, build_T, build_W,
-                          build_W_derivatives, lax_levermore, logdet_d1,
-                          logdet_d2, reconstruct_gl0, reconstruct_glm)
+                          SingularFamilyError, build_T, build_W, lax_levermore,
+                          reconstruct_gl0, reconstruct_glm)
 from .rates import (RateError, RateReport, SpectralEstimateReport,
                     convergence_report, lower_envelope, spectral_estimate_check,
                     vitushkin_c_inf, vitushkin_c_l1)
@@ -39,8 +38,8 @@ __all__ = [
     "phi_diag_derivative", "phi_kernel", "solve_kernel",
     "JostError", "JostSample", "jost", "jost_bound", "jost_identity_check",
     "ReconstructError", "ReconstructionResult", "ScaledMatrix", "build_T",
-    "build_W", "build_W_derivatives", "lax_levermore", "logdet_d1",
-    "logdet_d2", "reconstruct_gl0", "reconstruct_glm", "SingularFamilyError",
+    "build_W", "lax_levermore", "reconstruct_gl0", "reconstruct_glm",
+    "SingularFamilyError",
     "RateError", "RateReport", "SpectralEstimateReport", "convergence_report",
     "lower_envelope", "spectral_estimate_check", "vitushkin_c_inf",
     "vitushkin_c_l1",

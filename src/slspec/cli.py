@@ -1,7 +1,7 @@
 """Command-line front door: forward -> inverse -> rates pipelines.
 
 Subcommands: forward, wkb, kernel, reconstruct, benchmark, bounds.
-All artifacts are deterministic for a fixed config and seed; failures exit
+All artifacts are deterministic for a fixed config; failures exit
 nonzero with a machine-readable JSON error record naming the module and
 operation that failed.
 """
@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="slspec",
         description="forward/inverse spectral toolkit for -y'' - omega^2 Q y",
     )
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     sub = ap.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("forward", help="compute (xi_j, C_j) spectral data")
@@ -284,7 +283,6 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
-    np.random.seed(args.seed)
     try:
         return args.fn(args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not hides

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import lu_factor, lu_solve
 
-from .quadrature import gauss_rule, gregory_weights
+from .quadrature import gauss_panels, gregory_weights
 
 _N_SERIES = 16
 # binomial(1/2, n) for n = 1.., the sqrt(1 + z/s^2) expansion of the tails
@@ -58,13 +58,7 @@ def _tail_moments(S: float) -> tuple:
 def _gh_single(z: complex, nodes: int = 12) -> tuple:
     """(G(z), H(z)) for one z with Re z >= 0."""
     S = max(24.0, 3.2 * math.sqrt(abs(z)))
-    npan = max(16, int(math.ceil(S / 1.5)))
-    gx, gw = gauss_rule(nodes)
-    edges = np.linspace(0.0, S, npan + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    xs = (mid + half * gx[None, :]).ravel()
-    ws = (half * gw[None, :]).ravel()
+    xs, ws = gauss_panels(0.0, S, max(16, int(math.ceil(S / 1.5))), nodes)
     R = np.sqrt(xs * xs + z)
     g_fin = np.dot(ws, (1.0 - np.cos(xs)) / (xs * (xs + R)))
     h_fin = np.dot(ws, np.sin(xs) / (xs + R))
@@ -127,6 +121,26 @@ def _check_w(w: complex) -> None:
         raise KernelError(f"spectral shift needs Re w > 0, got {w!r}")
 
 
+def _phi_tables(X: float, w: complex, n: int) -> tuple:
+    """Phi(x_i, y_j), dPhi/dx(x_i, y_j) and d/dx Phi(x, x) at x_i on the
+    uniform (n+1)-point grid of [0, X], from one G/H table at u = k X/n.
+
+    On the diagonal dPhi/dx takes the one-sided limit from y < x.
+    """
+    h = X / n
+    u = np.arange(2 * n + 1) * h
+    G, H = gh_values(w * u * u)
+    wpi = w / math.pi
+    idx = np.arange(n + 1)
+    ip = idx[:, None] + idx[None, :]
+    im = np.abs(idx[:, None] - idx[None, :])
+    Phi = wpi * (u[ip] * G[ip] - u[im] * G[im])
+    sgn = np.sign(idx[:, None] - idx[None, :])
+    sgn[sgn == 0] = 1
+    dPhi = wpi * (H[ip] - sgn * H[im])
+    return Phi, dPhi, (2.0 * wpi) * H[2 * idx]
+
+
 @dataclass
 class KernelField:
     """Solved transformation kernel on a uniform triangular grid."""
@@ -165,19 +179,7 @@ def solve_kernel(X: float, w: complex, n: int = 128, tol: float = 1e-6) -> Kerne
         raise KernelError("need at least 16 grid intervals")
     h = X / n
     grid = np.linspace(0.0, X, n + 1)
-    u = np.arange(2 * n + 1) * h
-    G, H = gh_values(w * u * u)
-
-    wpi = w / math.pi
-    idx = np.arange(n + 1)
-    ip = idx[:, None] + idx[None, :]
-    im = np.abs(idx[:, None] - idx[None, :])
-    Phi = wpi * (u[ip] * G[ip] - u[im] * G[im])
-    # dPhi/dx with the one-sided diagonal limit from y < x
-    sgn = np.sign(idx[:, None] - idx[None, :])
-    sgn[sgn == 0] = 1
-    dPhi = wpi * (H[ip] - sgn * H[im])
-    dphi_diag = (2.0 * wpi) * H[2 * idx]
+    Phi, dPhi, dphi_diag = _phi_tables(X, w, n)
 
     A_rows = [np.zeros(1, dtype=complex)]
     B_rows = [np.zeros(1, dtype=complex)]
@@ -235,15 +237,8 @@ def coercivity_check(X: float, w: complex, trials: int = 100, n: int = 128,
     """
     _check_w(w)
     rng = np.random.default_rng(seed)
-    h = X / n
-    grid = np.linspace(0.0, X, n + 1)
-    u = np.arange(2 * n + 1) * h
-    G, _ = gh_values(w * u * u)
-    idx = np.arange(n + 1)
-    Phi = (w / math.pi) * (u[idx[:, None] + idx[None, :]] * G[idx[:, None] + idx[None, :]]
-                           - u[np.abs(idx[:, None] - idx[None, :])]
-                           * G[np.abs(idx[:, None] - idx[None, :])])
-    wt = gregory_weights(n, h)
+    Phi, _, _ = _phi_tables(X, w, n)
+    wt = gregory_weights(n, X / n)
     best = 1.0
     for _ in range(max(trials, 1)):
         hv = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
@@ -259,14 +254,8 @@ def coercivity_check(X: float, w: complex, trials: int = 100, n: int = 128,
 def operator_min_singular_value(X: float, w: complex, n: int = 64) -> float:
     """Smallest singular value of the weighted discretized (I + K)."""
     _check_w(w)
-    h = X / n
-    u = np.arange(2 * n + 1) * h
-    G, _ = gh_values(w * u * u)
-    idx = np.arange(n + 1)
-    ip = idx[:, None] + idx[None, :]
-    im = np.abs(idx[:, None] - idx[None, :])
-    Phi = (w / math.pi) * (u[ip] * G[ip] - u[im] * G[im])
-    wt = gregory_weights(n, h)
+    Phi, _, _ = _phi_tables(X, w, n)
+    wt = gregory_weights(n, X / n)
     M = np.eye(n + 1, dtype=complex) + Phi.T * wt[None, :]
     root = np.sqrt(wt)
     root[root == 0] = 1e-150

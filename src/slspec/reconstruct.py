@@ -2,15 +2,18 @@
 
 Both reconstruction formulas difference exponentially large sinh-family
 matrices, so every matrix family is built with the symmetric row/column
-factor exp(xi_j x) removed analytically.  Because the same factor scales a
-matrix and its analytic x-derivatives, the trace identities
+factor exp(xi_j x) removed analytically.  All three determinant families
+(W for gl0, T for glm, I + G for lax_levermore) are symmetric positive
+definite with a rank-one x-derivative, M' = s v v^T, so
 
-    d/dx  ln|det M| = tr(M^-1 M'),
-    d2/dx2 ln|det M| = tr(M^-1 M'') - tr((M^-1 M')^2)
+    d/dx  ln det M = s v^T M^-1 v,
+    d2/dx2 ln det M = 2 s v1^T M^-1 v - (s v^T M^-1 v)^2,   v1 = v',
 
-hold verbatim on the scaled entries (the extracted log-scale is linear in x
-and drops out of the second derivative; for the primitive the baseline at
-x = 0 cancels it exactly since M'(0) = 0 for these families).
+and one routine, `_rank_one_logdet`, serves them all.  The identities hold
+verbatim on the scaled entries with v scaled by the same exp(-xi_j x) (the
+extracted log-scale is linear in x and drops out of the second derivative;
+for the primitive the baseline at x = 0 cancels it exactly since v(0) = 0
+for the sinh families).
 """
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 
 from .forward import SpectralData
 from .glkernel import KernelField
@@ -110,108 +114,66 @@ def build_W(x: float, sd: SpectralData) -> ScaledMatrix:
     return sm
 
 
-def build_W_derivatives(x: float, sd: SpectralData) -> tuple:
-    """Analytic W'(x), W''(x) entries under the same scaling as build_W."""
-    xi = sd.xi
-    n = sd.count
-    if n == 0:
-        e = np.empty((0, 0))
-        return e, e
-    sig = xi[:, None] + xi[None, :]
-    er = np.exp(-2.0 * xi * x)
-    esig = np.exp(-2.0 * sig * x)
-    W1 = (1.0 + esig) - (er[None, :] + er[:, None])
-    idx = np.arange(n)
-    W1[idx, idx] = (1.0 - er) ** 2
-    dif = xi[:, None] - xi[None, :]
-    W2 = sig * (1.0 - esig) - dif * (er[None, :] - er[:, None])
-    W2[idx, idx] = 2.0 * xi * -np.expm1(-4.0 * xi * x)
-    return W1, W2
-
-
-def _equilibrated(M: np.ndarray, others: tuple) -> tuple:
-    """Symmetric diagonal equilibration D^-1/2 (.) D^-1/2 shared by the whole
-    family; similarity-invariant traces are unchanged, conditioning is not."""
-    d = np.sqrt(np.abs(np.diag(M)))
-    d[d == 0] = 1.0
-    inv = 1.0 / d
-    scale = inv[:, None] * inv[None, :]
-    return M * scale, tuple(o * scale for o in others)
-
-
-def logdet_d1(M: np.ndarray, M1: np.ndarray) -> float:
-    """tr(M^-1 M'): first derivative of ln|det| for an analytic family."""
-    if M.shape[0] == 0:
-        return 0.0
-    Me, (M1e,) = _equilibrated(M, (M1,))
-    lu = lu_factor(Me)
-    return float(np.real(np.trace(lu_solve(lu, M1e))))
-
-
-def logdet_d2(M: np.ndarray, M1: np.ndarray, M2: np.ndarray,
-              cond_limit: float = 1e13) -> float:
-    """d2/dx2 ln|det M| = tr(M^-1 M'') - tr((M^-1 M')^2).
-
-    M, M', M'' are the analytic entrywise derivatives of the family (any
-    common symmetric exponential scaling cancels in the traces, and the
-    diagonal equilibration applied here is a similarity as well).
-    """
-    if M.shape[0] == 0:
-        return 0.0
-    Me, (M1e, M2e) = _equilibrated(M, (M1, M2))
-    sign, _ = np.linalg.slogdet(Me)
-    if sign <= 0 or np.linalg.cond(Me) > cond_limit:
-        raise SingularFamilyError(
-            "matrix family is singular (or sign-crossing) at this node")
-    lu = lu_factor(Me)
-    X1 = lu_solve(lu, M1e)
-    X2 = lu_solve(lu, M2e)
-    return float(np.real(np.trace(X2) - np.trace(X1 @ X1)))
-
-
-def _quad_form_derivatives(M: np.ndarray, v: np.ndarray, v1: np.ndarray) -> tuple:
-    """(d/dx, d2/dx2) of ln|det| for families whose derivative is the rank-one
-    4 v v^T (both sinh families here are):  d1 = 4 v^T M^-1 v and
-    d2 = 8 v1^T M^-1 v - 16 (v^T M^-1 v)^2."""
-    z = np.linalg.solve(M, v)
-    q0 = float(v @ z)
-    q1 = float(v1 @ z)
-    return 4.0 * q0, 8.0 * q1 - 16.0 * q0 * q0
-
-
-def _mp_quad_form(build_entries, n: int, dps: int) -> tuple:
-    """Same quadratic forms in arbitrary precision.
-
-    build_entries(mp) must return (W, v, v1) as mpmath matrices.  The sinh
-    Gramian inside these families has conditioning growing like e^(cN), far
-    past float64 for N over ~15, which no rescaling can repair; the digit
-    count scales with N instead.
-    """
-    import mpmath as mp
-    with mp.workdps(dps):
-        W, v, v1 = build_entries(mp)
-        z = mp.lu_solve(W, v)
-        q0 = sum(v[i] * z[i] for i in range(n))
-        q1 = sum(v1[i] * z[i] for i in range(n))
-        return float(4 * q0), float(8 * q1 - 16 * q0 ** 2)
-
-
 _COND_FLOAT64 = 1e8
 
 
+def _rank_one_logdet(M: np.ndarray, v: np.ndarray, v1: np.ndarray, s: float,
+                     mp_entries=None) -> tuple:
+    """(d/dx, d2/dx2) of ln det M for an SPD family with M' = s v v^T and
+    M'' = s (v1 v^T + v v1^T):  d1 = s v^T M^-1 v, d2 = 2 s v1^T M^-1 v - d1^2.
+
+    One Cholesky of the diagonally equilibrated M serves when its LAPACK
+    rcond estimate clears 1/_COND_FLOAT64.  Otherwise (or when the float64
+    Cholesky fails) the quadratic forms are solved in arbitrary precision
+    on mp_entries(mp) -> (M, v, v1) as mpmath matrices, by default the
+    float64 entries.  The sinh Gramians inside these families have
+    conditioning growing like e^(cN), far past float64 for N over ~15,
+    which no rescaling can repair; the digit count scales with N instead.
+    """
+    d1 = None
+    diag = np.diag(M)
+    if np.all(diag > 0):
+        r = 1.0 / np.sqrt(diag)
+        Me = M * np.outer(r, r)
+        try:
+            cf = cho_factor(Me)
+        except LinAlgError:
+            cf = None
+        if (cf is not None and dpocon(cf[0], np.abs(Me).sum(axis=0).max())[0]
+                > 1.0 / _COND_FLOAT64):
+            z = cho_solve(cf, v * r)
+            d1 = s * float((v * r) @ z)
+            d2 = 2.0 * s * float((v1 * r) @ z) - d1 * d1
+    if d1 is None:
+        import mpmath as mp
+        if mp_entries is None:
+            def mp_entries(mp):
+                return (mp.matrix(M.tolist()), mp.matrix(v.tolist()),
+                        mp.matrix(v1.tolist()))
+        n = len(v)
+        with mp.workdps(max(50, 30 + int(2.6 * n))):
+            Mm, vm, v1m = mp_entries(mp)
+            try:
+                z = mp.lu_solve(Mm, vm)
+            except ZeroDivisionError as exc:
+                raise SingularFamilyError(
+                    "determinant family numerically singular at this node") from exc
+            d1m = s * sum(vm[i] * z[i] for i in range(n))
+            d2m = 2 * s * sum(v1m[i] * z[i] for i in range(n)) - d1m ** 2
+            d1, d2 = float(d1m), float(d2m)
+    # s d1 = s^2 v^T M^-1 v >= 0 while M stays positive definite; a wrong
+    # sign means the family degenerated
+    if s * d1 < 0:
+        raise SingularFamilyError("determinant family lost positivity")
+    return d1, d2
+
+
 def _gl0_node(sd: SpectralData, x: float) -> tuple:
-    """(d1, d2) of ln|det W| at x, escalating precision with conditioning."""
+    """(d1, d2) of ln det W at x: W' = 4 v v^T with v = sh(xi x) e^{-xi x}."""
     xi = sd.xi
     n = sd.count
-    W = build_W(x, sd).entries
     vh = 0.5 * -np.expm1(-2.0 * xi * x)
     v1h = 0.5 * xi * (1.0 + np.exp(-2.0 * xi * x))
-    Me, _ = _equilibrated(W, ())
-    if np.linalg.cond(Me) < _COND_FLOAT64:
-        sign, _ld = np.linalg.slogdet(Me)
-        if sign <= 0:
-            raise SingularFamilyError("det W crossed zero at this node")
-        return _quad_form_derivatives(W, vh, v1h)
 
     def build(mp):
         xx = mp.mpf(x)
@@ -232,16 +194,7 @@ def _gl0_node(sd: SpectralData, x: float) -> tuple:
         v1 = mp.matrix([xim[j] * (1 + mp.exp(-2 * xim[j] * xx)) / 2 for j in range(n)])
         return Wm, v, v1
 
-    dps = max(50, 30 + int(2.6 * n))
-    try:
-        d1, d2 = _mp_quad_form(build, n, dps)
-    except ZeroDivisionError as exc:
-        raise SingularFamilyError("det W numerically singular at this node") from exc
-    if d1 < 0:
-        # ln|det W| is nondecreasing for genuine data (W' = 4 v v^T is PSD);
-        # a negative derivative means the family degenerated
-        raise SingularFamilyError("determinant family lost positivity")
-    return d1, d2
+    return _rank_one_logdet(build_W(x, sd).entries, vh, v1h, 4.0, build)
 
 
 def _reference_curves(ref: Potential, grid: np.ndarray) -> tuple:
@@ -255,16 +208,6 @@ def _reference_curves(ref: Potential, grid: np.ndarray) -> tuple:
         qint[i] = qint[i - 1] + 0.5 * (b - a) * float(
             np.dot(gw, eval_potential(ref, t, 0)))
     return q, qint
-
-
-def _interpolate_flagged(res: ReconstructionResult) -> ReconstructionResult:
-    """Linear fill of Q_rec/Q_int across flagged nodes (opt-in)."""
-    bad = res.flags
-    if bad.any() and (~bad).sum() >= 2:
-        ok = ~bad
-        res.Q_rec[bad] = np.interp(res.grid[bad], res.grid[ok], res.Q_rec[ok])
-        res.Q_int[bad] = np.interp(res.grid[bad], res.grid[ok], res.Q_int[ok])
-    return res
 
 
 def _attach_errors(res: ReconstructionResult, ref: Optional[Potential]) -> ReconstructionResult:
@@ -282,13 +225,12 @@ def _attach_errors(res: ReconstructionResult, ref: Optional[Potential]) -> Recon
 
 
 def reconstruct_gl0(sd: SpectralData, grid: Sequence,
-                    ref: Optional[Potential] = None,
-                    interpolate_flagged: bool = False) -> ReconstructionResult:
+                    ref: Optional[Potential] = None) -> ReconstructionResult:
     """Determinant-only reconstruction from the discrete data:
 
         Q0(x) = (2/omega^2) d2/dx2 ln|det W(x)|,
 
-    plus its analytic primitive (2/omega^2) tr(W^-1 W') (zero baseline,
+    plus its analytic primitive (2/omega^2) d/dx ln det W (zero baseline,
     since W'(0) = 0).  Nodes where the family degenerates are flagged, not
     interpolated.
     """
@@ -310,8 +252,6 @@ def reconstruct_gl0(sd: SpectralData, grid: Sequence,
                 flags[i] = True
     res = ReconstructionResult(grid=grid, Q_rec=q, Q_int=qint, method="gl0",
                                flags=flags)
-    if interpolate_flagged:
-        res = _interpolate_flagged(res)
     return _attach_errors(res, ref)
 
 
@@ -408,8 +348,7 @@ def default_kernel_n(X: float, w: float) -> int:
 
 def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = None,
                     ref: Optional[Potential] = None,
-                    kf: Optional[KernelField] = None,
-                    interpolate_flagged: bool = False) -> ReconstructionResult:
+                    kf: Optional[KernelField] = None) -> ReconstructionResult:
     """Kernel-plus-determinant reconstruction:
 
         Q(x) = (2/omega^2) [ -d/dx A(x,x) + d2/dx2 ln|det T(x)| ],
@@ -439,11 +378,9 @@ def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = 
     q = np.zeros(len(xs))
     qint = np.zeros(len(xs))
     flags = np.zeros(len(xs), dtype=bool)
-    xi = sd.xi
     N = sd.count
     cache = _scaled_transformed_sinh(sd, kf) if N else None
     for k, i in enumerate(snap):
-        x = kf.grid[i]
         dd = float(np.real(kf.diag_deriv[i]))
         if N == 0:
             q[k] = (2.0 / om2) * (-dd)
@@ -452,31 +389,15 @@ def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = 
         _, Fh, F1h = cache
         T = _t_matrix_at(sd, kf, i, cache)
         try:
-            Te, _ = _equilibrated(T, ())
-            if np.linalg.cond(Te) < _COND_FLOAT64:
-                sign, _ld = np.linalg.slogdet(Te)
-                if sign <= 0:
-                    raise SingularFamilyError("det T crossed zero at this node")
-                d1, d2 = _quad_form_derivatives(T, Fh[:, i], F1h[:, i])
-            else:
-                Tl, fl, f1l = T.copy(), Fh[:, i].copy(), F1h[:, i].copy()
-
-                def build(mp, Tl=Tl, fl=fl, f1l=f1l):
-                    Wm = mp.matrix(Tl.tolist())
-                    return (Wm, mp.matrix([float(t) for t in fl]),
-                            mp.matrix([float(t) for t in f1l]))
-
-                # entries are float64-accurate only; the mp solve removes the
-                # factorization's conditioning loss, not the entry rounding
-                d1, d2 = _mp_quad_form(build, N, max(50, 30 + int(2.6 * N)))
+            # entries are float64-accurate only: an mpmath escalation removes
+            # the factorization's conditioning loss, not the entry rounding
+            d1, d2 = _rank_one_logdet(T, Fh[:, i], F1h[:, i], 4.0)
             q[k] = (2.0 / om2) * (-dd + d2)
             qint[k] = (2.0 / om2) * (-float(np.real(kf.diag[i])) + d1)
         except SingularFamilyError:
             flags[k] = True
     res = ReconstructionResult(grid=xs, Q_rec=q, Q_int=qint, method="glm",
                                flags=flags)
-    if interpolate_flagged:
-        res = _interpolate_flagged(res)
     return _attach_errors(res, ref)
 
 
@@ -509,20 +430,19 @@ def lax_levermore(eta: Sequence, c: Sequence, epsilon: float,
     flags = np.zeros(len(grid), dtype=bool)
     if n:
         sig = eta[:, None] + eta[None, :]
-        cc = np.outer(c, c)
 
         def family(x):
-            E = np.exp(-sig * x / epsilon) * cc
-            G = epsilon * E / sig
-            return np.eye(n) + G, -E, (sig / epsilon) * E
+            # (I + G)' = -e e^T with e_j = c_j exp(-eta_j x/eps)
+            e = c * np.exp(-eta * x / epsilon)
+            G = epsilon * np.outer(e, e) / sig
+            return np.eye(n) + G, e, -(eta / epsilon) * e
 
-        M0, G10, _ = family(0.0)
-        base = logdet_d1(M0, G10)
+        base, _ = _rank_one_logdet(*family(0.0), -1.0)
         for i, x in enumerate(grid):
-            M, G1, G2 = family(x)
             try:
-                u[i] = -2.0 * epsilon**2 * logdet_d2(M, G1, G2)
-                uint[i] = -2.0 * epsilon**2 * (logdet_d1(M, G1) - base)
+                d1, d2 = _rank_one_logdet(*family(x), -1.0)
+                u[i] = -2.0 * epsilon**2 * d2
+                uint[i] = -2.0 * epsilon**2 * (d1 - base)
             except SingularFamilyError:
                 flags[i] = True
     return ReconstructionResult(grid=grid, Q_rec=-u, Q_int=-uint,

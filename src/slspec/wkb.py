@@ -133,8 +133,14 @@ def dirichlet_count(p: Potential, omega: float) -> int:
 
     The quantization rule indexes whole-line levels of the even extension;
     only the odd-parity ones (every second level) vanish at the origin, so
-    the Dirichlet count is floor(action(0) omega / (2 pi) + 1/4)."""
-    return int(math.floor(action(p, 0.0) * omega / (2.0 * math.pi) + 0.25 + 1e-9))
+    the count is predicted_count // 2, the length of dirichlet_levels() on
+    wkb_spectrum(p, omega).  No Maslov quarter is added: at zero energy a
+    potential decaying faster than x^-2 has no turning point.  For q1 this
+    is [omega] // 2 against the exact ceil(sqrt(1+omega^2)/2) - 1.  They
+    differ only where sqrt(1+omega^2) has passed an even integer that omega
+    has not reached, windows of width about 1/(2 omega) (on a 0.1 grid from
+    3 to 41, only omega = 3.9)."""
+    return predicted_count(p, omega) // 2
 
 
 def dirichlet_levels(profile: WkbProfile) -> np.ndarray:

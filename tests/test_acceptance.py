@@ -33,12 +33,12 @@ import pytest
 
 from slspec import (SolverOptions, calogero_bounds, characteristic_values,
                     coercivity_check, convergence_report, eigenvalues,
-                    forward, jost_identity_check, lax_levermore, logdet_d2,
+                    forward, jost_identity_check, lax_levermore,
                     phi_diag_derivative, reconstruct_gl0, reconstruct_glm,
                     solve_kernel, squarewell_oracle, vitushkin_c_inf,
                     vitushkin_c_l1, wkb_spectrum)
 from slspec.forward import SpectralData
-from slspec.reconstruct import build_W
+from slspec.reconstruct import _rank_one_logdet, build_W
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -271,22 +271,26 @@ def test_criterion_7_determinant_machinery():
         worst = max(worst, abs(ld - ref) / abs(ref))
     scaled_ok = worst <= 1e-9
 
+    # rank-one families S + s (t v v^T + t^2/2 (v1 v^T + v v1^T)), s = 4 as
+    # for W and T, s = -1 as for I + G, differenced in 50-digit arithmetic
     rng = np.random.default_rng(3)
     fd_worst = 0.0
-    for _ in range(4):
+    for k in range(4):
         B = rng.standard_normal((4, 4))
         S = B @ B.T + 4 * np.eye(4)
-        D = rng.standard_normal((4, 4))
-        D = 0.5 * (D + D.T)
-        E = rng.standard_normal((4, 4))
-        E = 0.5 * (E + E.T)
-        h = 1e-3
-        with mp.workdps(40):
-            lds = [float(mp.log(abs(mp.det(mp.matrix((S + t * D + 0.5 * t * t * E).tolist())))))
-                   for t in (-h, 0.0, h)]
-        fd2 = (lds[2] - 2 * lds[1] + lds[0]) / (h * h)
-        fd_worst = max(fd_worst, abs(logdet_d2(S, D, E) - fd2))
-    trace_ok = fd_worst <= 1e-5
+        v = rng.standard_normal(4)
+        v1 = rng.standard_normal(4)
+        sgn = (4, -1)[k % 2]
+        with mp.workdps(50):
+            vm, v1m = mp.matrix(v.tolist()), mp.matrix(v1.tolist())
+            P = vm * vm.T
+            Q = v1m * vm.T + vm * v1m.T
+            h = mp.mpf("1e-5")
+            lds = [mp.log(mp.det(mp.matrix(S.tolist()) + sgn * (t * P + t * t / 2 * Q)))
+                   for t in (-h, 0, h)]
+            fd2 = float((lds[2] - 2 * lds[1] + lds[0]) / h ** 2)
+        fd_worst = max(fd_worst, abs(_rank_one_logdet(S, v, v1, sgn)[1] - fd2))
+    rank_one_ok = fd_worst <= 1e-5
 
     eta, c, eps = 1.3, 0.8, 0.25
     g = np.linspace(0.0, 3.0, 61)
@@ -300,10 +304,10 @@ def test_criterion_7_determinant_machinery():
                              * (scal(x + h) - 2 * scal(x) + scal(x - h)) / h**2))
                    for x, q in zip(g, res.Q_rec))
     ll_ok = ll_worst <= 1e-6
-    ok = scaled_ok and trace_ok and ll_ok
+    ok = scaled_ok and rank_one_ok and ll_ok
     elapsed = time.time() - t0
     _report("7 determinant machinery", ok,
-            f"scaled-det rel={worst:.1e} (<=1e-9); trace-vs-FD={fd_worst:.1e} "
+            f"scaled-det rel={worst:.1e} (<=1e-9); rank-one-vs-FD={fd_worst:.1e} "
             f"(<=1e-5); one-soliton={ll_worst:.1e} (<=1e-6) [{elapsed:.1f}s]")
     assert ok
     assert elapsed <= 30.0

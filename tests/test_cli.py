@@ -33,8 +33,7 @@ def test_determinism_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     for out in (a, b):
-        assert run(["--seed", 7, "wkb", "--potential", "q1", "--omega", 10,
-                    "--out", out]) == 0
+        assert run(["wkb", "--potential", "q1", "--omega", 10, "--out", out]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, cho_factor, hilbert
 
 from slspec.forward import SpectralData, squarewell_oracle
 from slspec.glkernel import KernelField, solve_kernel
-from slspec.reconstruct import (ReconstructError, build_T, build_W,
-                                build_W_derivatives, lax_levermore, logdet_d1,
-                                logdet_d2, reconstruct_gl0, reconstruct_glm)
+from slspec.reconstruct import (ReconstructError, _rank_one_logdet, build_T,
+                                build_W, lax_levermore, reconstruct_gl0,
+                                reconstruct_glm)
 
 
 def _sd(xi, C, omega=5.0):
@@ -18,21 +19,27 @@ def _sd(xi, C, omega=5.0):
                         C=np.asarray(C, float), q0=1.0, q0_derivatives=(0.0,))
 
 
+def _mp_W(xi, C, x):
+    """Unscaled W(x) in the working mpmath precision."""
+    n = len(xi)
+    x = mp.mpf(x)
+    W = mp.zeros(n)
+    for s in range(n):
+        for r in range(n):
+            a = mp.mpf(xi[s]) + mp.mpf(xi[r])
+            v = 2 * mp.sinh(a * x) / a
+            if s != r:
+                d = mp.mpf(xi[s]) - mp.mpf(xi[r])
+                v -= 2 * mp.sinh(d * x) / d
+            else:
+                v -= 2 * x - 4 * mp.mpf(xi[s]) ** 2 / mp.mpf(C[s])
+            W[s, r] = v
+    return W
+
+
 def _mp_logdet_W(xi, C, x, dps=60):
     with mp.workdps(dps):
-        n = len(xi)
-        W = mp.zeros(n)
-        for s in range(n):
-            for r in range(n):
-                a = mp.mpf(xi[s]) + mp.mpf(xi[r])
-                v = 2 * mp.sinh(a * x) / a
-                if s != r:
-                    d = mp.mpf(xi[s]) - mp.mpf(xi[r])
-                    v -= 2 * mp.sinh(d * x) / d
-                else:
-                    v -= 2 * x - 4 * mp.mpf(xi[s]) ** 2 / mp.mpf(C[s])
-                W[s, r] = v
-        return float(mp.log(abs(mp.det(W))))
+        return float(mp.log(abs(mp.det(_mp_W(xi, C, x)))))
 
 
 def test_w_at_zero_is_ratio_diagonal():
@@ -82,52 +89,68 @@ def test_build_w_rejects_repeated_xi():
 
 
 def test_w_derivative_is_rank_one():
+    # central difference of the unscaled W against W' = 4 sh(xi x) sh(xi x)^T
     sd = _sd([0.5, 1.7, 3.1], [1.0, 2.0, 3.0])
-    x = 0.9
-    W1, _ = build_W_derivatives(x, sd)
-    v = 0.5 * -np.expm1(-2 * sd.xi * x)   # sinh(xi x) e^{-xi x}
-    assert np.allclose(W1, 4.0 * np.outer(v, v), rtol=1e-13, atol=1e-15)
+    x, h = 0.9, 1e-5
+
+    def unscaled(t):
+        return build_W(t, sd).entries * np.exp(np.add.outer(sd.xi, sd.xi) * t)
+
+    W1 = (unscaled(x + h) - unscaled(x - h)) / (2 * h)
+    sh = np.sinh(sd.xi * x)
+    assert np.allclose(W1, 4.0 * np.outer(sh, sh), rtol=1e-7, atol=0)
 
 
 def test_logdet_d2_scalar_families():
-    # exponential family: ln det linear in x, second derivative zero
-    c = 1.3
-    x = 0.7
-    M = np.array([[math.exp(c * x)]])
-    assert abs(logdet_d2(M, c * M, c * c * M)) < 1e-12
-    # cosh family at x = 1: (ln cosh)'' = sech^2
-    M = np.array([[math.cosh(1.0)]])
-    M1 = np.array([[math.sinh(1.0)]])
-    assert abs(logdet_d2(M, M1, M) - 1.0 / math.cosh(1.0) ** 2) < 1e-12
+    # M = e^{cx} with M' = s v^2: v' = (c/2) v, ln M linear, d2 = 0
+    for s, c in ((4.0, 1.3), (-1.0, -1.3)):
+        M = math.exp(c * 0.7)
+        v = math.sqrt(c * M / s)
+        d1, d2 = _rank_one_logdet(np.array([[M]]), np.array([v]),
+                                  np.array([0.5 * c * v]), s)
+        assert abs(d1 - c) < 1e-12
+        assert abs(d2) < 1e-12
+    # cosh family at x = 1: M' = sinh = 4 v^2, M'' = cosh = 8 v1 v,
+    # (ln cosh)'' = sech^2
+    v = math.sqrt(math.sinh(1.0) / 4.0)
+    d1, d2 = _rank_one_logdet(np.array([[math.cosh(1.0)]]), np.array([v]),
+                              np.array([math.cosh(1.0) / (8.0 * v)]), 4.0)
+    assert abs(d1 - math.tanh(1.0)) < 1e-12
+    assert abs(d2 - 1.0 / math.cosh(1.0) ** 2) < 1e-12
 
 
-def test_logdet_d2_block_additivity():
-    M = np.diag([math.cosh(1.0), math.exp(0.6)])
-    M1 = np.diag([math.sinh(1.0), 0.6 * math.exp(0.6)])
-    M2 = np.diag([math.cosh(1.0), 0.36 * math.exp(0.6)])
-    total = logdet_d2(M, M1, M2)
-    assert abs(total - 1.0 / math.cosh(1.0) ** 2) < 1e-12
+def _mp_fd_logdet(S, v, v1, s, h=1e-5):
+    """Central differences (d1, d2) at t = 0 of ln det of the rank-one family
+    S + s (t v v^T + t^2/2 (v1 v^T + v v1^T)), built in 50-digit mpmath."""
+    with mp.workdps(50):
+        Sm, vm, v1m = mp.matrix(S.tolist()), mp.matrix(v.tolist()), mp.matrix(v1.tolist())
+        P = vm * vm.T
+        Q = v1m * vm.T + vm * v1m.T
+        hm = mp.mpf(h)
+        ld = [mp.log(mp.det(Sm + s * (t * P + t * t / 2 * Q))) for t in (-hm, 0, hm)]
+        return (float((ld[2] - ld[0]) / (2 * hm)),
+                float((ld[2] - 2 * ld[1] + ld[0]) / hm ** 2))
 
 
 def test_logdet_d2_matches_finite_differences_random():
+    # random SPD S take the float64 Cholesky path; Hilbert S (rcond ~1e-10
+    # at n = 8, ~1e-16 at n = 12) take the mpmath path, with v = S u to keep
+    # v^T S^-1 v of order one however ill-conditioned S is
     rng = np.random.default_rng(7)
-    for _ in range(5):
+    cases = []
+    for _ in range(6):
         B = rng.standard_normal((4, 4))
-        S = B @ B.T + 4 * np.eye(4)
-        D = rng.standard_normal((4, 4))
-        D = 0.5 * (D + D.T)
-        E = rng.standard_normal((4, 4))
-        E = 0.5 * (E + E.T)
-
-        def fam(x):
-            return S + x * D + 0.5 * x * x * E
-
-        h = 1e-3
-        with mp.workdps(40):
-            lds = [float(mp.log(abs(mp.det(mp.matrix(fam(t).tolist())))))
-                   for t in (-h, 0.0, h)]
-        fd2 = (lds[2] - 2 * lds[1] + lds[0]) / (h * h)
-        assert abs(logdet_d2(fam(0.0), D, E) - fd2) < 1e-5
+        cases.append((B @ B.T + 4 * np.eye(4), rng.standard_normal(4),
+                      rng.standard_normal(4)))
+    for n in (8, 12):
+        H = hilbert(n)
+        cases.append((H, H @ rng.standard_normal(n), H @ rng.standard_normal(n)))
+    for k, (S, v, v1) in enumerate(cases):
+        s = (4.0, -1.0)[k % 2]
+        fd1, fd2 = _mp_fd_logdet(S, v, v1, s)
+        d1, d2 = _rank_one_logdet(S, v, v1, s)
+        assert abs(d1 - fd1) < 1e-5
+        assert abs(d2 - fd2) < 1e-5
 
 
 def test_gl0_empty_data_is_zero():
@@ -152,6 +175,35 @@ def test_gl0_single_state_matches_fd_of_scalar_log():
         fd1 = (lnw(x + h) - lnw(x - h)) / (2 * h)
         assert abs(q - (2.0 / 25.0) * fd2) < 1e-6
         assert abs(qi - (2.0 / 25.0) * fd1) < 1e-8
+
+
+def test_gl0_escalates_where_float64_cholesky_fails():
+    # 14 states up to xi = 30: at many of these nodes the float64 W entries
+    # defeat Cholesky; those nodes must be solved on exact entries, not flagged
+    xi = np.linspace(0.5, 30.0, 14)
+    C = np.exp(xi)
+    sd = _sd(xi, C, omega=40.0)
+    grid = np.linspace(1.0, 1.4, 17)
+    failed = []
+    for i, x in enumerate(grid):
+        W = build_W(x, sd).entries
+        r = 1.0 / np.sqrt(np.diag(W))
+        try:
+            cho_factor(W * np.outer(r, r))
+        except LinAlgError:
+            failed.append(i)
+    assert failed
+    res = reconstruct_gl0(sd, grid)
+    assert not res.flags.any()
+    h = mp.mpf("1e-12")
+    for i in failed[:3]:
+        x, q, qi = grid[i], res.Q_rec[i], res.Q_int[i]
+        with mp.workdps(120):
+            L = [mp.log(mp.det(_mp_W(xi, C, mp.mpf(x) + k * h))) for k in (-1, 0, 1)]
+            d1 = (L[2] - L[0]) / (2 * h)
+            d2 = (L[2] - 2 * L[1] + L[0]) / h ** 2
+        assert abs(qi - (2.0 / 1600.0) * float(d1)) <= 1e-9 * abs(qi)
+        assert abs(q - (2.0 / 1600.0) * float(d2)) <= 1e-8 * abs(q)
 
 
 def test_gl0_primitive_is_derivative_of_logdet(q1_sd10):

@@ -99,6 +99,16 @@ def test_theta_plus_upper_bound(q1):
     assert np.all(prof.theta_plus <= cap + 1e-9)
 
 
+def test_dirichlet_count_matches_q1_closed_form(q1):
+    # exact half-line count ceil(nu/2) - 1, nu = sqrt(1 + omega^2), from the
+    # nodes of the zero-energy solution sqrt(1+x^2) sin(nu arctan x); these
+    # omega include ones where omega mod 2 lies in (1.5, 2)
+    for om in (7.8, 9.9, 10.0, 11.7, 20.0):
+        nu = math.sqrt(1.0 + om * om)
+        assert dirichlet_count(q1, om) == math.ceil(nu / 2) - 1
+        assert dirichlet_count(q1, om) == len(dirichlet_levels(wkb_spectrum(q1, om)))
+
+
 def test_dirichlet_sublevels_match_shooting(q1, q1_sd10):
     # only the odd-parity whole-line levels restrict to the half line; they
     # track the shooting eigenvalues at relative error <= C/omega for the
@@ -107,7 +117,7 @@ def test_dirichlet_sublevels_match_shooting(q1, q1_sd10):
     for om, sd in ((10.0, q1_sd10),):
         prof = wkb_spectrum(q1, om)
         lvl = dirichlet_levels(prof)
-        assert abs(dirichlet_count(q1, om) - sd.count) <= 1
+        assert dirichlet_count(q1, om) == sd.count
         n = min(len(lvl), sd.count)
         mid = slice(n // 3, 2 * n // 3 + 1)
         rel = np.abs(lvl[-n:][mid] - sd.xi[-n:][mid]) / sd.xi[-n:][mid]
