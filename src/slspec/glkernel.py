@@ -18,6 +18,13 @@ z = w u^2,
 via Phi(x,y,w) = (w/pi)[(x+y) G(w(x+y)^2) - |x-y| G(w(x-y)^2)] and the
 analogous H form for d/dx Phi, so a kernel solve on an n-point grid needs
 only O(n) quadratures rather than O(n^2).
+
+The n slice systems share one matrix: from slice 16 on each is a leading
+block of a fixed matrix plus a rank-7 change in its Gregory end columns.
+`solve_kernel` factors that matrix once, without pivoting, and solves every
+slice from the factor (two batched triangular sweeps and a 7x7 Woodbury
+solve per slice), so the solve costs O(n^3) rather than n separate LU
+factorizations, O(n^4).
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .quadrature import gauss_panels, gregory_weights
 
@@ -162,15 +169,68 @@ class KernelField:
         return self.weights[i]
 
 
+# slices 1..15 take Simpson weights and are solved densely; from slice 16 on
+# the Gregory start corrections are the same for every slice
+_FIRST_BATCHED = 16
+_CHUNK = 64          # slice columns per Woodbury update and residual block
+
+
+def _lu_nopivot(a: np.ndarray) -> None:
+    """Blocked right-looking LU of the square Fortran-ordered `a` in place,
+    without pivoting: the strict lower triangle ends up holding the unit L,
+    the rest U, and every leading block is the product of the leading
+    blocks of L and U."""
+    n, nb = a.shape[0], 64
+    for k in range(0, n, nb):
+        e = min(k + nb, n)
+        for j in range(k, e):
+            a[j + 1:, j] /= a[j, j]
+            a[j + 1:, j + 1:e] -= np.outer(a[j + 1:, j], a[j, j + 1:e])
+        if e < n:
+            a[k:e, e:] = solve_triangular(a[k:e, k:e], a[k:e, e:], lower=True,
+                                          unit_diagonal=True, check_finite=False)
+            a[e:, e:] -= a[e:, k:e] @ a[k:e, e:]
+
+
+def _slice_matrix(Phi: np.ndarray, wt: np.ndarray, kink: complex) -> np.ndarray:
+    """Slice i's Nystrom matrix (I + K) on nodes 0..i, where i = len(wt) - 1."""
+    i = len(wt) - 1
+    M = Phi[: i + 1, : i + 1].T * wt[None, :]
+    M[np.diag_indices(i + 1)] += 1.0
+    # dPhi/ds jumps by -w/2 across s = y (one-sided diagonal limits): the
+    # Euler-Maclaurin kink term at interior collocation nodes is a diagonal
+    # correction -h^2 w/24 * A(x, y_r) that restores the rule's order
+    # through the corner
+    r = np.arange(1, i)
+    M[r, r] -= kink
+    return M
+
+
 def solve_kernel(X: float, w: complex, n: int = 128, tol: float = 1e-6) -> KernelField:
     """Nystrom solve of the triangular equation, slice by slice in x.
 
     Endpoint-corrected trapezoid (Gregory, order 8) weights on uniform
-    nodes; each slice solves the dense (I + K) system (well posed by
-    coercivity of the measure), and the diagonal derivative comes from the
+    nodes; each slice solves the (I + K) system (well posed by coercivity
+    of the measure), and the diagonal derivative comes from the
     differentiated equation rather than from differencing A.  Eighth-order
     weights matter downstream: the reconstruction's determinant stage
     amplifies kernel quadrature error through badly conditioned solves.
+
+    Slices 1..15 are solved densely.  From slice 16 on, slice i's matrix is
+    the leading block of one fixed matrix B (Gregory start weights, h
+    elsewhere, the kink term on every node but 0) plus a change of rank 7
+    in columns i-6..i.  B is factored once by LU without pivoting, so its
+    leading blocks are factored by the leading blocks of L and U.  That is
+    stable when the Hermitian part of B is positive definite, which
+    coercivity (Re w > 0) gives on resolved grids (smallest eigenvalue
+    ~1); on an under-resolved grid (h sqrt|w| ~ 25) it is indefinite, and
+    the factor still showed pivot growth 8 and backward error 9e-16.  Every
+    slice then costs its share of one forward and one back triangular
+    sweep over all right-hand sides at once, plus a 7x7 Woodbury
+    capacitance solve: O(n^3) in total instead of n LU factorizations,
+    O(n^4).  The differentiated equation is linear in its
+    right-hand side, so dA/dx = A(x, x) A + (I + K)^-1 (-dPhi(x, .)) and
+    both right-hand sides are known before the sweep.
     """
     _check_w(w)
     if X <= 0:
@@ -178,47 +238,95 @@ def solve_kernel(X: float, w: complex, n: int = 128, tol: float = 1e-6) -> Kerne
     if n < 16:
         raise KernelError("need at least 16 grid intervals")
     h = X / n
+    kink = h * h * w / 24.0
     grid = np.linspace(0.0, X, n + 1)
     Phi, dPhi, dphi_diag = _phi_tables(X, w, n)
+    wts = [gregory_weights(i, h) for i in range(n + 1)]
+    s0 = _FIRST_BATCHED
+    cs = wts[-1][:7]                     # Gregory start (and mirrored end) weights
+    dd = cs[::-1] - h                    # end-column weight change, columns i-6..i
 
-    A_rows = [np.zeros(1, dtype=complex)]
-    B_rows = [np.zeros(1, dtype=complex)]
-    diag = np.zeros(n + 1, dtype=complex)
-    diag_deriv = np.zeros(n + 1, dtype=complex)
-    wts = [np.zeros(1)]
-    diag[0] = -Phi[0, 0]
-    diag_deriv[0] = -dphi_diag[0]
+    B = _slice_matrix(Phi, np.concatenate([cs, np.full(n - 6, h)]), kink)
+    B[n, n] -= kink
+    _lu_nopivot(B)
+    # column i of Acol / dAcol holds A / dA_dx of slice i on rows 0..i, so
+    # their transposes are row-per-slice arrays and A[i] a view of a row
+    Acol = np.zeros((n + 1, n + 1), dtype=complex, order="F")
+    dAcol = np.zeros((n + 1, n + 1), dtype=complex, order="F")
+    # the Woodbury columns of slice s0 reach back to column s0 - 6
+    np.negative(Phi[s0 - 6:, :].T, out=Acol[:, s0 - 6:])
+    np.negative(dPhi[s0:, :].T, out=dAcol[:, s0:])
+    Acol[:, s0 - 6:] = solve_triangular(B, Acol[:, s0 - 6:], lower=True,
+                                        unit_diagonal=True, overwrite_b=True,
+                                        check_finite=False)
+    dAcol[:, s0:] = solve_triangular(B, dAcol[:, s0:], lower=True,
+                                    unit_diagonal=True, overwrite_b=True,
+                                    check_finite=False)
+
+    # Woodbury: M_i = L_i (U_i + Z V^T) with V = [e_{i-6} .. e_i] and
+    # Z = L_i^-1 (columns i-6..i of M_i - B_i); L_i^-1 e_i = e_i, so the
+    # capacitance is the trailing 7x7 block of U_i plus that block of Z
+    sl = np.arange(s0, n + 1)
+    blk = sl[:, None] - 6 + np.arange(7)[None, :]
+    cap = np.triu(B[blk[:, :, None], blk[:, None, :]]) \
+        - dd[None, None, :] * Acol[blk[:, :, None], blk[:, None, :]]
+    cap[:, 6, 6] += kink
+    rhs = np.stack([Acol[blk, sl[:, None]], dAcol[blk, sl[:, None]]], axis=-1)
+    tail = np.linalg.solve(cap, rhs)      # V^T x for both right-hand sides
+    # y - Z (V^T x), in descending column chunks: a chunk reads columns
+    # down to 6 below itself, which must still hold the forward sweep
+    for lo in reversed(range(s0, n + 1, _CHUNK)):
+        hi = min(lo + _CHUNK, n + 1)
+        t = tail[lo - s0: hi - s0]
+        da = np.zeros((n + 1, hi - lo), dtype=complex)
+        db = np.zeros((n + 1, hi - lo), dtype=complex)
+        for q in range(7):
+            src = Acol[:, lo - 6 + q: hi - 6 + q]
+            da += src * (dd[q] * t[:, q, 0])
+            db += src * (dd[q] * t[:, q, 1])
+        Acol[:, lo:hi] += da
+        dAcol[:, lo:hi] += db
+        c = np.arange(lo, hi)
+        Acol[c, c] -= kink * t[:, 6, 0]
+        dAcol[c, c] -= kink * t[:, 6, 1]
+    below = np.tri(n + 1, k=-1, dtype=bool)
+    Acol[below] = 0.0
+    dAcol[below] = 0.0
+    Acol[:, s0:] = solve_triangular(B, Acol[:, s0:], overwrite_b=True,
+                                    check_finite=False)
+    dAcol[:, s0:] = solve_triangular(B, dAcol[:, s0:], overwrite_b=True,
+                                    check_finite=False)
+    del B
+
     residual = 0.0
-    for i in range(1, n + 1):
-        wt = gregory_weights(i, h)
-        wts.append(wt)
-        sub = Phi[: i + 1, : i + 1]
-        M = np.eye(i + 1, dtype=complex) + sub.T * wt[None, :]
-        # dPhi/ds jumps by -w/2 across s = y (one-sided diagonal limits):
-        # the Euler-Maclaurin kink term at interior collocation nodes is a
-        # diagonal correction -h^2 w/24 * A(x, y_r) that restores the
-        # rule's order through the corner
-        if i >= 2:
-            r = np.arange(1, i)
-            M[r, r] -= h * h * w / 24.0
+    for i in range(1, s0):
+        M = _slice_matrix(Phi, wts[i], kink)
         lu = lu_factor(M)
         rhs = -Phi[i, : i + 1]
         a = lu_solve(lu, rhs)
-        res = np.max(np.abs(M @ a - rhs))
+        residual = max(residual, float(np.max(np.abs(M @ a - rhs))))
         # differentiated equation: (I + K) dA/dx = -(A(x,x) Phi(x,.) + dPhi(x,.))
-        rhs_b = -(a[i] * Phi[i, : i + 1] + dPhi[i, : i + 1])
-        b = lu_solve(lu, rhs_b)
-        A_rows.append(a)
-        B_rows.append(b)
-        diag[i] = a[i]
+        Acol[: i + 1, i] = a
+        dAcol[: i + 1, i] = lu_solve(lu, -(a[i] * Phi[i, : i + 1] + dPhi[i, : i + 1]))
+    residual = max(residual, _batched_residual(Phi, Acol, wts, kink, s0))
+
+    A_rows = [Acol[: i + 1, i] for i in range(n + 1)]
+    B_rows = [dAcol[: i + 1, i] for i in range(n + 1)]
+    diag = np.diagonal(Acol).copy()
+    diag[0] = -Phi[0, 0]
+    diag_deriv = np.empty(n + 1, dtype=complex)
+    diag_deriv[0] = -dphi_diag[0]
+    for i in range(1, n + 1):
+        wt, a, b = wts[i], A_rows[i], B_rows[i]
+        if i >= s0:
+            b += a[i] * a
         diag_deriv[i] = (-dphi_diag[i] - a[i] * Phi[i, i]
                          - np.dot(wt, b * Phi[: i + 1, i])
                          - np.dot(wt, a * dPhi[i, : i + 1]))
-        residual = max(residual, float(res))
     if residual > tol:
         raise KernelError(
             f"discretized solve residual {residual:.3e} above tol {tol:.3e}")
-    cond = np.linalg.cond(M)
+    cond = np.linalg.cond(_slice_matrix(Phi, wts[n], kink))
     if cond > 1.0 / tol:
         raise KernelError(
             f"linear solve ill-conditioned (cond ~ {cond:.2e} > 1/tol): "
@@ -226,6 +334,27 @@ def solve_kernel(X: float, w: complex, n: int = 128, tol: float = 1e-6) -> Kerne
     return KernelField(w=w, grid=grid, A=A_rows, diag=diag,
                        diag_deriv=diag_deriv, residual=residual,
                        dA_dx=B_rows, weights=wts)
+
+
+def _batched_residual(Phi, Acol, wts, kink, s0) -> float:
+    """max over slices i >= s0 of |M_i A_i + Phi(x_i, .)|, each M_i with
+    slice i's own weights as `_slice_matrix` builds it, in column chunks."""
+    n = Phi.shape[0] - 1
+    rows = np.arange(n + 1)
+    res = 0.0
+    for lo in range(s0, n + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n + 1)
+        c = np.arange(lo, hi)
+        a = Acol[:, lo:hi]
+        wa = np.zeros_like(a)
+        for j, i in enumerate(c):
+            wa[: i + 1, j] = wts[i] * a[: i + 1, j]
+        r = a + Phi.T @ wa + Phi[lo:hi, :].T
+        r[1:] -= kink * a[1:]
+        r[c, c - lo] += kink * a[c, c - lo]
+        r[rows[:, None] > c[None, :]] = 0.0
+        res = max(res, float(np.max(np.abs(r))))
+    return res
 
 
 def coercivity_check(X: float, w: complex, trials: int = 100, n: int = 128,

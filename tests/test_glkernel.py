@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
-from slspec.glkernel import (KernelError, coercivity_check, gh_values,
-                             operator_min_singular_value, phi_diag_derivative,
-                             phi_kernel, solve_kernel)
+from slspec.glkernel import (KernelError, _phi_tables, coercivity_check,
+                             gh_values, operator_min_singular_value,
+                             phi_diag_derivative, phi_kernel, solve_kernel)
+from slspec.quadrature import gregory_weights
 
 # Frozen oracle values from an independent high-precision quadrature of the
 # split representation (finite head + closed-form middle + oscillatory tail,
@@ -106,6 +108,61 @@ def test_solve_kernel_residual(w):
     assert kf.residual <= 1e-6
     assert abs(kf.A[0][0]) == 0.0
     assert abs(kf.diag_deriv[0] + w / 2.0) < 1e-10 * max(1.0, abs(w))
+
+
+def _dense_slices(X, w, n):
+    """Reference solve: one pivoted LU of each slice matrix (I + K)."""
+    h = X / n
+    Phi, dPhi, dphi_diag = _phi_tables(X, w, n)
+    A, dA = [np.zeros(1, complex)], [np.zeros(1, complex)]
+    diag = np.zeros(n + 1, complex)
+    diag_deriv = np.zeros(n + 1, complex)
+    diag[0], diag_deriv[0] = -Phi[0, 0], -dphi_diag[0]
+    for i in range(1, n + 1):
+        wt = gregory_weights(i, h)
+        M = np.eye(i + 1, dtype=complex) + Phi[: i + 1, : i + 1].T * wt[None, :]
+        r = np.arange(1, i)
+        M[r, r] -= h * h * w / 24.0
+        lu = lu_factor(M)
+        a = lu_solve(lu, -Phi[i, : i + 1])
+        b = lu_solve(lu, -(a[i] * Phi[i, : i + 1] + dPhi[i, : i + 1]))
+        A.append(a)
+        dA.append(b)
+        diag[i] = a[i]
+        diag_deriv[i] = (-dphi_diag[i] - a[i] * Phi[i, i]
+                         - np.dot(wt, b * Phi[: i + 1, i])
+                         - np.dot(wt, a * dPhi[i, : i + 1]))
+    return A, dA, diag, diag_deriv
+
+
+def _rel(got, ref):
+    got, ref = np.concatenate(got), np.concatenate(ref)
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("X, w, n", [(2.0, w, n) for w in (4.0, 1 + 5j)
+                                     for n in (16, 17, 23, 128)]
+                         + [(2.0, 400.0, 128), (5.0, 1e5, 64)])
+def test_solve_kernel_matches_dense_slices(X, w, n):
+    # n = 16, 17, 23 put the first batched slices next to the dense ones;
+    # (5, 1e5, 64) is under-resolved (h sqrt(w) ~ 25), and partial pivoting
+    # would swap rows of the matrix solve_kernel factors without pivots
+    kf = solve_kernel(X, w, n=n)
+    A, dA, diag, diag_deriv = _dense_slices(X, w, n)
+    assert _rel(kf.A, A) <= 1e-12
+    assert _rel(kf.dA_dx, dA) <= 1e-12
+    assert _rel([kf.diag], [diag]) <= 1e-12
+    assert _rel([kf.diag_deriv], [diag_deriv]) <= 1e-12
+    assert [len(a) for a in kf.A] == [len(a) for a in A]
+    assert [len(b) for b in kf.dA_dx] == [len(b) for b in dA]
+
+
+def test_solve_kernel_guards_still_fire():
+    # residual ~2e-14 and cond ~20.9 at (2, 400, n=128)
+    with pytest.raises(KernelError, match="residual"):
+        solve_kernel(2.0, 400.0, n=128, tol=1e-18)
+    with pytest.raises(KernelError, match="ill-conditioned"):
+        solve_kernel(2.0, 400.0, n=128, tol=0.5)
 
 
 def test_kernel_slice_norm_bound():
