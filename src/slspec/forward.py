@@ -6,7 +6,9 @@ the L2-normalized eigenfunction completes the inverse problem's data.
 
 The solver uses the Pruefer phase representation so eigenvalue indices come
 from integer phase counts (no root can be missed): a vectorized fixed-grid
-RK4 sweep bisects all candidate xi simultaneously.  Near-threshold states,
+RK4 sweep narrows every state's bracket at once, K-fold per sweep, by
+evaluating the phase count at K - 1 interior points of each bracket
+(K-section).  Near-threshold states,
 whose truncation domains are thousands of length units, are finished on a
 Wronskian-mismatch functional instead (the phase representation compresses
 their information exponentially, the mismatch keeps it well conditioned),
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -113,6 +116,11 @@ def calogero_bounds(p: Potential, omega: float) -> tuple:
 
 # ----------------------------------------------------------------------
 # per-(potential, omega) context and the vectorized Pruefer sweep
+
+# K of the eigenvalue search's K-section: one sweep over the K - 1 interior
+# points of every open bracket cuts each bracket K-fold; sweep cost grows
+# slowly with the vector length, so K well above 2 pays
+_KSECT = 12
 
 @dataclass
 class _ShootGrid:
@@ -243,29 +251,37 @@ def _pruefer_sweep(grid: _ShootGrid, xi: np.ndarray, x_stop: np.ndarray) -> np.n
     Each state's phase is captured at its own truncation point; whatever the
     (unstable, discarded) values do past that point never feeds the result.
     """
-    xi2 = xi * xi
-    theta = np.zeros_like(xi)
-    frozen = np.zeros_like(xi)
     freeze_at = np.searchsorted(grid.ends, x_stop * (1 - 1e-12), side="left")
     freeze_at = np.minimum(freeze_at, len(grid.xs) - 1)
+    # states ordered by falling freeze step: those still moving after step i
+    # are the first keep[i], so the vectors shrink as states freeze
+    order = np.argsort(-freeze_at, kind="stable")
+    steps = np.arange(int(freeze_at.max()) + 1)
+    keep = np.searchsorted(-freeze_at[order], -steps, side="left").tolist()
+    xi2 = (xi * xi)[order]
+    theta = np.zeros_like(xi2)
+    frozen = np.empty_like(xi2)
 
     def f(q, th):
         s = np.sin(th)
         c = np.cos(th)
         return c * c + (q - xi2) * s * s
 
-    last = int(freeze_at.max())
-    for i in range(last + 1):
-        h = grid.hs[i]
-        k1 = f(grid.qa[i], theta)
-        k2 = f(grid.qm[i], theta + 0.5 * h * k1)
-        k3 = f(grid.qm[i], theta + 0.5 * h * k2)
-        k4 = f(grid.qb[i], theta + h * k3)
+    n = len(xi2)
+    for i, h, qa, qm, qb in zip(steps.tolist(), grid.hs.tolist(), grid.qa.tolist(),
+                                grid.qm.tolist(), grid.qb.tolist()):
+        k1 = f(qa, theta)
+        k2 = f(qm, theta + 0.5 * h * k1)
+        k3 = f(qm, theta + 0.5 * h * k2)
+        k4 = f(qb, theta + h * k3)
         theta = theta + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        hit = freeze_at == i
-        if hit.any():
-            frozen = np.where(hit, theta, frozen)
-    return frozen
+        m = keep[i]
+        if m < n:
+            frozen[m:n] = theta[m:]
+            theta, xi2, n = theta[:m], xi2[:m], m
+    out = np.empty_like(frozen)
+    out[order] = frozen
+    return out
 
 
 def _phase_count_fn(prob: _Problem, grid: _ShootGrid):
@@ -374,10 +390,14 @@ def count_states(p: Potential, omega: float,
 def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None) -> np.ndarray:
     """All xi_j of the Dirichlet problem, strictly increasing.
 
-    Oscillation counting isolates each index; vectorized bisection on the
-    Pruefer phase handles every state whose truncation fits the common grid;
-    near-threshold states are finished on the Wronskian mismatch; for
-    moderate omega the mismatch polish brings everything to opts.tol.
+    Oscillation counting isolates each index; K-section on the Pruefer phase
+    (one vectorized sweep over the _KSECT - 1 interior points of every open
+    bracket per pass, each bracket narrowed to the adjacent pair of points
+    that straddles its target count) handles every state whose truncation
+    fits the common grid; near-threshold states are finished on the Wronskian
+    mismatch; for moderate omega the mismatch polish brings everything to
+    opts.tol.  A polish that finds no sign change keeps the sweep value and
+    says so with a RuntimeWarning.
     """
     opts = opts or SolverOptions()
     prob = _Problem(p, omega, opts)
@@ -405,24 +425,36 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
     hi = np.full(n_states, prob.xi_max * (1 - 1e-13))
     do_polish = opts.polish if opts.polish is not None else (omega <= 25)
     bisect_tol = max(opts.tol, 1e-7) if do_polish else opts.tol
+    reach = grid.x_max * (1 + 1e-9)
+    frac = np.arange(_KSECT + 1) / _KSECT
+    cols = np.arange(_KSECT + 1)
+    rows = np.arange(n_states)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        # leave states below the vector grid's reach to the scalar pass
-        safe = prob.x_stop(mid) <= grid.x_max * (1 + 1e-9)
-        if not safe.any():
+        # columns: lo, the K - 1 interior points, hi
+        pts = lo[:, None] + (hi - lo)[:, None] * frac
+        pts[:, -1] = hi
+        # interior points below the vector grid's reach are left to the
+        # scalar pass
+        use = (prob.x_stop(pts) <= reach) & (hi - lo >= bisect_tol)[:, None]
+        use[:, [0, -1]] = False
+        if not use.any():
             break
-        pm = P(np.where(safe, mid, hi))
-        above = pm > targets
-        lo = np.where(safe & above, mid, lo)
-        hi = np.where(safe & ~above, mid, hi)
-        if np.max(np.where(safe, hi - lo, 0.0)) < bisect_tol:
-            break
+        above = np.zeros(pts.shape, dtype=bool)
+        above[:, 0] = True
+        above[use] = P(pts[use]) > np.broadcast_to(targets[:, None], pts.shape)[use]
+        known = use.copy()
+        known[:, [0, -1]] = True
+        # new bracket: the first known point whose phase count is at or below
+        # the target, and the last known point before it whose count is above
+        first = (known & ~above).argmax(axis=1)
+        last = np.where(known & above & (cols < first[:, None]), cols, 0).max(axis=1)
+        lo, hi = pts[rows, last], pts[rows, first]
     xi = 0.5 * (lo + hi)
 
     # scalar mismatch refinement for states the vector grid could not reach
     refined = np.zeros(n_states, dtype=bool)
     for i in range(n_states):
-        if prob.x_stop(xi[i]) <= grid.x_max * (1 + 1e-9) and hi[i] - lo[i] < 2 * bisect_tol:
+        if prob.x_stop(xi[i]) <= reach and hi[i] - lo[i] < 2 * bisect_tol:
             continue
         a, b = lo[i], hi[i]
         wa = _mismatch(prob, a)
@@ -459,6 +491,14 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
             if wa * wb <= 0:
                 xi[i] = brentq(lambda t: _mismatch(prob, t), a, b,
                                xtol=opts.tol, rtol=1e-15)
+            else:
+                warnings.warn(
+                    f"polish found no sign change of the mismatch for the state "
+                    f"with node count {i} on [{a:.17g}, {b:.17g}]; xi keeps the "
+                    f"midpoint of the sweep bracket [{lo[i]:.17g}, {hi[i]:.17g}] "
+                    f"(width {hi[i] - lo[i]:.3g}), accurate only to the phase "
+                    f"sweep's discretization, not to tol = {opts.tol:.3g}",
+                    RuntimeWarning, stacklevel=2)
     xi = np.sort(xi)
     if opts.sensitivity_check and n_states:
         wide = SolverOptions(**{**opts.__dict__, "efolds": opts.efolds * 2,

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -9,7 +10,9 @@ from slspec.forward import (BracketError, ForwardError, SolverOptions,
                             characteristic_values, count_above, count_states,
                             eigenvalues, forward, squarewell_oracle,
                             _state_profiles)
-from slspec.potentials import make_potential
+from slspec.potentials import builtin, make_potential
+
+fwd = importlib.import_module("slspec.forward")
 
 
 def test_calogero_square_well(sw):
@@ -136,3 +139,104 @@ def test_missing_decay_metadata_raises():
     })
     with pytest.raises(ForwardError):
         calogero_bounds(bare, 10.0)
+
+
+def _sweep_step_loop(grid, xi, x_stop):
+    """The Pruefer sweep as a plain per-step loop over every state."""
+    xi2 = xi * xi
+    theta = np.zeros_like(xi)
+    frozen = np.zeros_like(xi)
+    freeze_at = np.searchsorted(grid.ends, x_stop * (1 - 1e-12), side="left")
+    freeze_at = np.minimum(freeze_at, len(grid.xs) - 1)
+
+    def f(q, th):
+        s = np.sin(th)
+        c = np.cos(th)
+        return c * c + (q - xi2) * s * s
+
+    for i in range(int(freeze_at.max()) + 1):
+        h = grid.hs[i]
+        k1 = f(grid.qa[i], theta)
+        k2 = f(grid.qm[i], theta + 0.5 * h * k1)
+        k3 = f(grid.qm[i], theta + 0.5 * h * k2)
+        k4 = f(grid.qb[i], theta + h * k3)
+        theta = theta + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        frozen = np.where(freeze_at == i, theta, frozen)
+    return frozen
+
+
+@pytest.mark.parametrize("kind,omega", [("q1", 10.0), ("square_well", 7.0)])
+def test_pruefer_sweep_matches_step_loop(kind, omega):
+    # the sweep drops states from its vectors as they freeze; the arithmetic
+    # per state is unchanged, so the phases must agree bit for bit
+    prob = fwd._Problem(builtin(kind), omega, SolverOptions())
+    grid = prob.build_grid(float(prob.x_stop(0.05)))
+    rng = np.random.default_rng(3)
+    xi = np.concatenate([rng.uniform(0.05, prob.xi_max, 40), [0.05, 0.05]])
+    x_stop = np.minimum(prob.x_stop(xi), grid.x_max)
+    assert np.array_equal(fwd._pruefer_sweep(grid, xi, x_stop),
+                          _sweep_step_loop(grid, xi, x_stop))
+
+
+# xi_j and C_j as the bisection search computed them before the search became
+# a K-section; the two may differ by the search tolerance only
+_RECORDED = {
+    ("q1", 10.0): (
+        [0.00835526596300303, 0.994103002398904, 2.889800726337032,
+         5.281488915908835, 7.936122720831987],
+        [0.019032745733841058, 9.644293109876363, 38.91762504221155,
+         73.47101299013077, 86.933882270451]),
+    ("q1", 40.0): (
+        [0.000500189601117011, 0.2584017806129638, 0.8498554283301236,
+         1.754016046364974, 2.9430650112162935, 4.385279998773145,
+         6.048259388467461, 7.9012038637408715, 9.916291479472193,
+         12.0691633118179, 14.338985926087837, 16.70815814759539,
+         19.161944320092758, 21.688045885771864, 24.276213505661666,
+         26.91789580079098, 29.60594138675429, 32.334350016331825,
+         35.09806703355427, 37.89281503693972],
+        [0.0010386247298380352, 2.820522903274545, 16.305763968185936,
+         47.0263775878862, 98.93065948796112, 173.23471458315424,
+         268.8316939211289, 382.91442430748197, 511.4069833827138,
+         649.6248795061783, 792.3286951303752, 933.872845999577,
+         1068.128331067426, 1188.2961823744226, 1286.5151884110765,
+         1353.1664567742284, 1375.5314444136413, 1334.8611585983597,
+         1198.5265321119568, 889.9302467633164]),
+    ("square_well", 20.0): (
+        [9.202826053122482, 13.37505563384512, 16.054193980638903,
+         17.8805520445714, 19.085198945706026, 19.775014245432626],
+        [568.8080134458627, 411.4530562194055, 267.84209012245844,
+         152.06710793403096, 67.95001119331977, 17.036125669000434]),
+}
+
+
+@pytest.mark.parametrize("kind,omega", list(_RECORDED))
+def test_ksection_matches_recorded_values_in_few_sweeps(monkeypatch, kind, omega):
+    sweeps = []
+    sweep = fwd._pruefer_sweep
+
+    def counted(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(fwd, "_pruefer_sweep", counted)
+    p = builtin(kind)
+    opts = SolverOptions()
+    xi = eigenvalues(p, omega, opts)
+    # bisection needed 29 (q1, 10), 41 (q1, 40) and 30 (square well) sweeps
+    assert len(sweeps) <= 20
+    xi_ref, C_ref = (np.array(v) for v in _RECORDED[kind, omega])
+    assert len(xi) == len(xi_ref)
+    assert np.max(np.abs(xi - xi_ref)) <= 2 * opts.tol
+    C = characteristic_values(p, omega, xi, opts)
+    assert np.max(np.abs(C - C_ref) / C_ref) <= 1e-9
+
+
+def test_polish_without_sign_change_warns(monkeypatch, sw):
+    # a mismatch that never changes sign leaves every state at its sweep
+    # value; that loss of digits must be reported, not silent
+    monkeypatch.setattr(fwd, "_mismatch", lambda prob, xi, with_nodes=False: 1.0)
+    with pytest.warns(RuntimeWarning, match=r"node count \d+ on \[.*width") as rec:
+        xi = eigenvalues(sw, 10.0, SolverOptions(polish=True))
+    assert len(rec) == len(xi) == 3
+    # the sweep's own discretization error, about 3e-6 here
+    assert np.max(np.abs(xi - squarewell_oracle(10.0).xi)) < 1e-5

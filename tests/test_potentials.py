@@ -132,3 +132,43 @@ def test_validate_class_shifted_q1_fails_decay():
     })
     rep = validate_class(shifted, 0)
     assert not rep["decay_bounds"].passed
+
+
+@pytest.mark.parametrize("kind", ["q1_rational", "quartic_rational", "square_well"])
+def test_scalar_path_matches_array_bit_for_bit(kind):
+    # a float x takes the float-only closed form; it must round exactly as
+    # the array path does, breakpoint and origin included
+    p = builtin(kind)
+    xs = np.concatenate([
+        [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e6],
+        np.linspace(0.0, 4.0, 4001),
+        np.geomspace(1e-9, 1e6, 6000),
+    ])
+    arr = eval_potential(p, xs)
+    for cast in (float, np.float64):
+        sc = np.array([eval_potential(p, cast(x)) for x in xs])
+        assert np.array_equal(sc, arr)
+    assert type(eval_potential(p, np.float64(0.5))) is float
+    assert eval_potential(p, np.array([0.5]))[0] == eval_potential(p, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["q1_rational", "quartic_rational", "square_well"])
+def test_negative_scalar_still_raises(kind):
+    p = builtin(kind)
+    for x in (-1.0, -1e-300, np.float64(-0.5)):
+        with pytest.raises(PotentialError):
+            eval_potential(p, x)
+
+
+def test_user_callable_still_receives_an_array():
+    seen = []
+
+    def fn(x):
+        seen.append(type(x))
+        return 1.0 / (1.0 + np.asarray(x) ** 4)
+
+    p = make_potential({"kind": "user_closed_form", "fn": fn,
+                        "decay": {"a": 2.0, "k1": 4, "k2": 4}})
+    seen.clear()
+    assert eval_potential(p, 1.0) == 0.5
+    assert seen == [np.ndarray]
