@@ -183,7 +183,8 @@ def main() -> int:
                 for w in bench["workloads"]}
 
     doc = {"recorded": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-           "command": " ".join(["python3", "bench/record.py"] + sys.argv[1:]),
+           "command": " ".join(["python3", "bench/record.py"] + [
+               "<checkout>" if a == str(args.baseline) else a for a in sys.argv[1:]]),
            **environment(),
            "perfbench": {"seconds": seconds, "runs": plan, "quick": args.quick},
            "trees": {label: {"commit": _git(tree, "rev-parse", "HEAD"),
