@@ -439,9 +439,10 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
         use[:, [0, -1]] = False
         if not use.any():
             break
+        r, c = np.nonzero(use)
         above = np.zeros(pts.shape, dtype=bool)
         above[:, 0] = True
-        above[use] = P(pts[use]) > np.broadcast_to(targets[:, None], pts.shape)[use]
+        above[r, c] = P(pts[r, c]) > targets[r]
         known = use.copy()
         known[:, [0, -1]] = True
         # new bracket: the first known point whose phase count is at or below
