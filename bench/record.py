@@ -1,5 +1,6 @@
-"""Record the benchmark of one commit, or of a change against its parent, in
-one BENCH_<n>.json file.
+"""Record the benchmark of a commit, or of a change paired with its parent.
+
+The record goes to one JSON file, BENCH_<n>.json at the repository root:
 
     python3 bench/record.py --out BENCH_6.json
     python3 bench/record.py --out BENCH_6.json --baseline ../parent-checkout
@@ -9,7 +10,8 @@ Run from anywhere; the tree this script sits in is the "change".  With
 --baseline, a second checkout (for example the parent commit, made with
 `git clone` or `git archive`) is the "parent", and every run is paired: run
 i of a workload runs both trees with the same seed, the change first when i
-is even and the parent first when i is odd.
+is even and the parent first when i is odd.  Every run lasts
+BENCHMARK.json's run_seconds.
 
 Per tree, the recorder makes --runs untraced runs of `perfbench/run.py` per
 workload (--forward-runs on `forward`), one traced run per workload, and
@@ -160,9 +162,6 @@ def main() -> int:
     ap.add_argument("--baseline", type=Path, help="checkout of the commit to compare against")
     ap.add_argument("--runs", type=int, default=5, help="untraced runs per workload")
     ap.add_argument("--forward-runs", type=int, default=5, help="untraced runs of forward")
-    ap.add_argument("--seconds", type=int, default=None,
-                    help="perfbench --seconds (default: BENCHMARK.json's run_seconds, "
-                         "1 with --quick)")
     ap.add_argument("--seed", type=int, default=301, help="seed of the first run")
     ap.add_argument("--quick", action="store_true",
                     help="one untraced run each of gl0 and glm; no traced runs, no tests")
@@ -170,7 +169,7 @@ def main() -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     # --seconds 1 leaves each run at perfbench's minimum number of passes
-    seconds = args.seconds or (1 if args.quick else bench["run_seconds"])
+    seconds = 1 if args.quick else bench["run_seconds"]
     metrics = bench["end_to_end"]
     names = [m["name"] for m in metrics]
     trees = {"change": ROOT}

@@ -12,6 +12,7 @@ from slspec.forward import (BracketError, ForwardError, SolverOptions,
                             _state_profiles)
 from slspec.potentials import builtin, make_potential
 
+# the module: the package attribute slspec.forward is the function
 fwd = importlib.import_module("slspec.forward")
 
 
