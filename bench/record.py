@@ -14,9 +14,9 @@ is even and the parent first when i is odd.  Every run lasts
 BENCHMARK.json's run_seconds.
 
 Per tree, the recorder makes --runs untraced runs of `perfbench/run.py` per
-workload (--forward-runs on `forward`), one traced run per workload, and
-times the tier-1 test suite.  It only reads the JSON line each perfbench run
-prints; the workloads, checks and bounds stay perfbench's and
+workload, with seeds SEED, SEED + 1, ..., one traced run per workload at
+SEED, and times the tier-1 test suite.  It only reads the JSON line each
+perfbench run prints; the workloads, checks and bounds stay perfbench's and
 BENCHMARK.json's.  --quick makes one untraced run each of `gl0` and `glm`
 at perfbench's minimum number of passes (about a minute per tree), and
 nothing else.
@@ -40,6 +40,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+SEED = 301
 
 
 def _git(tree: Path, *args: str) -> str:
@@ -161,8 +162,6 @@ def main() -> int:
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--baseline", type=Path, help="checkout of the commit to compare against")
     ap.add_argument("--runs", type=int, default=5, help="untraced runs per workload")
-    ap.add_argument("--forward-runs", type=int, default=5, help="untraced runs of forward")
-    ap.add_argument("--seed", type=int, default=301, help="seed of the first run")
     ap.add_argument("--quick", action="store_true",
                     help="one untraced run each of gl0 and glm; no traced runs, no tests")
     args = ap.parse_args()
@@ -178,8 +177,7 @@ def main() -> int:
     if args.quick:
         plan = {"gl0": 1, "glm": 1}
     else:
-        plan = {w["name"]: (args.forward_runs if w["name"] == "forward" else args.runs)
-                for w in bench["workloads"]}
+        plan = {w["name"]: args.runs for w in bench["workloads"]}
 
     doc = {"recorded": datetime.now(timezone.utc).isoformat(timespec="seconds"),
            "command": " ".join(["python3", "bench/record.py"] + [
@@ -197,7 +195,7 @@ def main() -> int:
         for i in range(n):
             order = labels if i % 2 == 0 else labels[::-1]
             for label in order:
-                r = perfbench(trees[label], workload, args.seed + i, seconds, 0)
+                r = perfbench(trees[label], workload, SEED + i, seconds, 0)
                 r["first_in_pair"] = label == order[0]
                 runs[label].append(r)
                 print(f"{workload} run {i} {label}: {r.get('metrics', r.get('error'))}",
@@ -205,7 +203,7 @@ def main() -> int:
         for label in labels:
             rec = {"runs": runs[label], "summary": summarize(runs[label], names)}
             if not args.quick:
-                traced = perfbench(trees[label], workload, args.seed, seconds, 1)
+                traced = perfbench(trees[label], workload, SEED, seconds, 1)
                 rec["traced"] = traced.get("metrics", traced)
             doc["trees"][label]["workloads"][workload] = rec
         if "parent" in runs:

@@ -56,9 +56,10 @@ class Potential:
         return eval_potential(self, x, deriv_order)
 
 
-# The order-0 closed forms of the built-in kinds use + - * / only: those
-# round identically on a float and on an array, where numpy's vectorised pow
-# can differ from the scalar one by an ulp.  _FLOAT_FORMS below relies on it.
+# The order-0 closed forms of the built-in kinds take a float or an array
+# and use + - * / and comparisons only: those round identically on a float
+# and on an array, where numpy's vectorised pow can differ from the scalar
+# one by an ulp.  eval_potential's float path relies on it.
 
 def _q1_fn(x):
     s = 1.0 + x * x
@@ -78,11 +79,7 @@ def _q1_d3(x):
 
 
 def _square_well_fn(x):
-    return np.where(np.asarray(x, dtype=float) <= 1.0, 1.0, 0.0)
-
-
-def _square_well_float(x):
-    return 1.0 if x <= 1.0 else 0.0
+    return (x <= 1.0) * 1.0
 
 
 def _q4_fn(x):
@@ -98,15 +95,6 @@ def _q4_d1(x):
 def _q4_d2(x):
     x = np.asarray(x, dtype=float)
     return (20.0 * x**6 - 12.0 * x**2) / (1.0 + x**4) ** 3
-
-
-# float-only closed forms for a scalar x at order 0, by kind; they skip the
-# array round trip of eval_potential, which callers make per RHS evaluation
-_FLOAT_FORMS = {
-    "q1_rational": _q1_fn,
-    "quartic_rational": _q4_fn,
-    "square_well": _square_well_float,
-}
 
 
 def make_potential(spec: dict) -> Potential:
@@ -226,12 +214,13 @@ def eval_potential(p: Potential, x, deriv_order: int = 0):
     the array path gives.  Tabulated and user potentials always take the
     array path, so a user callable receives a 1-element array.
     """
-    if deriv_order == 0 and isinstance(x, float):
-        form = _FLOAT_FORMS.get(p.kind)
-        if form is not None:
-            if x < 0:
-                raise PotentialError("potentials are defined on x >= 0")
-            return form(float(x))
+    if (deriv_order == 0 and isinstance(x, float)
+            and p.kind in ("q1_rational", "quartic_rational", "square_well")):
+        # built-in closed forms skip the array round trip, which callers
+        # make once per RHS evaluation
+        if x < 0:
+            raise PotentialError("potentials are defined on x >= 0")
+        return p._fn(float(x))
     if deriv_order < 0:
         raise PotentialError("derivative order must be >= 0")
     if deriv_order > p.m_smoothness:
