@@ -1,22 +1,19 @@
-"""Jost function by successive approximations, and the norming identity.
+"""Jost function by one triangular solve, and the norming identity.
 
 The Jost solution behaves like e^{ikx} at infinity; its value at the origin
-F(k) = f(k, 0) vanishes exactly at k = i xi_j.  The series
+F(k) = f(k, 0) vanishes exactly at k = i xi_j.  It solves the Volterra
+equation
 
-    f_0 = e^{ikx},   f_n(k, x) = int_x^inf [sin(k(t-x))/k] V(t) f_{n-1} dt,
+    f(k, x) = e^{ikx} + int_x^inf [sin(k(t-x))/k] V(t) f(k, t) dt,
 
-with V = -omega^2 Q, is summed in the gauged variables g = f e^{-ikx},
-whose kernel (e^{2ik(t-x)} - 1)/(2ik) stays bounded for Im k >= 0; the
-factorial majorant
-
-    |f_n| <= e^{-Im k x} B^n / n!,   B = int min(t, 1/|k|) |V| dt,
-
-controls truncation, and B also bounds the roundoff floor ~ e^B eps of the
-alternating sum, which the solver reports instead of hiding.
+with V = -omega^2 Q, here in the gauged variable g = f e^{-ikx}, whose
+kernel (e^{2ik(t-x)} - 1)/(2ik) stays bounded for Im k >= 0.  On the grid,
+the Nystrom matrix M of that equation is strictly upper triangular, so
+(I - M) g = 1 is one back-substitution.
 
 Note the integral-equation kernel is sin(k(t-x))/k: with the opposite sign
-the series converges to a function whose zeros are NOT the eigenvalues
-(checked against the square well's closed form).
+the equation's solution has zeros that are NOT the eigenvalues (checked
+against the square well's closed form).
 """
 from __future__ import annotations
 
@@ -25,9 +22,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .forward import SolverOptions, _state_profiles
 from .potentials import Potential, eval_potential
+from .quadrature import simpson_weights
 
 
 class JostError(RuntimeError):
@@ -38,9 +37,7 @@ class JostError(RuntimeError):
 class JostSample:
     k: complex
     F: complex
-    iterations_used: int
-    tail_truncation: float
-    roundoff_floor: float = 0.0
+    iterations_used: int                                # 1: one solve
     grid: np.ndarray = field(default=None, repr=False)
     g: np.ndarray = field(default=None, repr=False)     # f(k,x) e^{-ikx}
 
@@ -58,8 +55,7 @@ def _jost_grid(p: Potential, omega: float, k: complex, tol: float) -> np.ndarray
     if p.support_end is not None:
         X = p.support_end
         h = min(0.05, 0.1 / max(1.0, kk))
-        pieces = [np.linspace(0.0, X, max(16, int(math.ceil(X / h))) + 1)]
-        return np.unique(np.concatenate(pieces))
+        return np.linspace(0.0, X, max(16, int(math.ceil(X / h))) + 1)
     d = p.decay
     om2 = omega * omega
     # tail of int min(t, 1/|k|) |V|:  om^2 a / ((k2-1) |k| X^(k2-1))
@@ -83,111 +79,67 @@ def _jost_grid(p: Potential, omega: float, k: complex, tol: float) -> np.ndarray
     return g
 
 
-_RW_CACHE: dict = {}
-
-
 def _row_weights(grid: np.ndarray) -> np.ndarray:
     """w[i, j]: Simpson-type weights for int over [x_i, X] on grid nodes.
 
-    Built per row from composite Simpson (3/8-closed for odd counts) on the
-    blocked grid; rows are dense enough that plain composite rules on the
-    nonuniform spacing keep fourth order within each uniform block.
+    Composite Simpson (3/8-closed for odd counts) on each uniform run of the
+    blocked grid.  Row i covers its partial run [i, r] and then the whole
+    runs after r, whose weights are row r itself: the rows are filled right
+    to left, so that row is done when row i needs it.
     """
     m = len(grid)
-    key = (m, float(grid[0]), float(grid[-1]), float(grid[min(7, m - 1)]))
-    hit = _RW_CACHE.get(key)
-    if hit is not None:
-        return hit
+    steps = np.diff(grid)
+    runs = []
+    j = 0
+    while j < m - 1:
+        r = j + 1
+        while r < m - 1 and abs(steps[r] - steps[j]) < 1e-12 * max(1.0, steps[j]):
+            r += 1
+        runs.append((j, r))
+        j = r
     W = np.zeros((m, m))
-    # composite Simpson on a (piecewise-uniform) grid, built right-to-left
-    for i in range(m - 1):
-        sub = grid[i:]
-        w = np.zeros(len(sub))
-        j = 0
-        while j < len(sub) - 1:
-            # find the uniform run starting at j
-            hstep = sub[j + 1] - sub[j]
-            r = j + 1
-            while r < len(sub) - 1 and abs((sub[r + 1] - sub[r]) - hstep) < 1e-12 * max(1.0, hstep):
-                r += 1
-            npan = r - j
-            from .quadrature import simpson_weights
-            w[j : r + 1] += simpson_weights(npan, hstep)
-            j = r
-        W[i, i:] = w
-    if len(_RW_CACHE) > 8:
-        _RW_CACHE.clear()
-    _RW_CACHE[key] = W
+    tail = np.zeros(1)                # int over [X, X]
+    for j, r in reversed(runs):
+        for i in range(j, r):
+            W[i, i : r + 1] = simpson_weights(r - i, steps[i])
+            W[i, r:] += tail
+        tail = W[j, j:]
     return W
 
 
-def jost(p: Potential, omega: float, k: complex, n_max: int = 200,
-         tol: float = 1e-10, _grid: Optional[np.ndarray] = None) -> JostSample:
-    """F(k) = f(k, 0) for Im k >= 0 by the gauged successive approximations.
+def jost(p: Potential, omega: float, k: complex, tol: float = 1e-10,
+         _grid: Optional[np.ndarray] = None) -> JostSample:
+    """F(k) = f(k, 0) for Im k >= 0 from the gauged Volterra equation.
 
-    Raises when the factorial bound cannot reach tol within n_max terms;
-    reports the roundoff floor e^B eps when the alternating sum is expected
-    to lose that much (small |k| with strong coupling).
+    Block-Simpson Nystrom on the grid of _jost_grid, whose tail is cut where
+    the kernel's tail bound falls below tol; (I - M) g = 1 is solved by one
+    back-substitution.
     """
     k = complex(k)
     if k.imag < -1e-15:
         raise JostError("Jost function needs Im k >= 0")
-    om2 = omega * omega
     grid = _jost_grid(p, omega, k, tol) if _grid is None else _grid
-    m = len(grid)
-    V = -om2 * eval_potential(p, np.minimum(grid, grid[-1]), 0)
-    if p.support_end is not None:
-        # the grid ends exactly at the support: the final node carries the
-        # left-limit value so block-Simpson integrates the piece exactly
-        V = -om2 * eval_potential(p, np.minimum(grid, p.support_end - 1e-12), 0)
+    # with compact support the grid ends exactly at the support: the final
+    # node carries the left-limit value so block-Simpson integrates the
+    # piece exactly
+    x = grid if p.support_end is None else np.minimum(grid, p.support_end - 1e-12)
+    V = -omega * omega * eval_potential(p, x, 0)
 
-    dxm = grid[None, :] - grid[:, None]
-    kk = abs(k)
-    if kk < 1e-12:
-        kern = np.where(dxm > 0, dxm, 0.0).astype(complex)
+    dx = grid[None, :] - grid[:, None]
+    np.maximum(dx, 0.0, out=dx)         # t - x above the diagonal, 0 elsewhere
+    if abs(k) < 1e-12:
+        A = dx.astype(complex)
     else:
-        kern = (np.exp(2j * k * np.where(dxm > 0, dxm, 0.0)) - 1.0) / (2j * k)
-        kern[dxm <= 0] = 0.0
-    idx = np.arange(m)
-    kern[idx, idx] = 0.0
-
-    RW = _row_weights(grid)
-    M = RW * kern * V[None, :]
-
-    # factorial majorant with the bounded gauged kernel: the kernel modulus
-    # is at most min(t - x, 1/(|k| + Im k))
-    cap = np.minimum(grid, 1.0 / max(kk + k.imag, 1e-12))
-    B = float(RW[0] @ (cap * np.abs(V)))
-    if p.decay is not None:
-        B += om2 * p.decay.a / ((p.decay.k2 - 1.0) * max(kk + k.imag, 1e-12)
-                                * grid[-1] ** (p.decay.k2 - 1.0))
-    n_bound = 1
-    term_b = B
-    while term_b > tol and n_bound < n_max:
-        n_bound += 1
-        term_b *= B / n_bound
-    if term_b > tol:
-        raise JostError(
-            f"series not converged within n_max={n_max}: factorial bound "
-            f"B={B:.3g} leaves remainder {term_b:.3g} > tol={tol:.3g}")
-
-    g = np.ones(m, dtype=complex)
-    term = np.ones(m, dtype=complex)
-    max_term = 1.0
-    used = 0
-    for n in range(1, n_max + 1):
-        term = M @ term
-        g += term
-        used = n
-        tmax = float(np.max(np.abs(term)))
-        max_term = max(max_term, tmax)
-        if tmax < 0.2 * tol:
-            break
-    floor = max_term * 2e-16
-    tail = term_b
-    return JostSample(k=k, F=complex(g[0]), iterations_used=used,
-                      tail_truncation=tail, roundoff_floor=floor,
-                      grid=grid, g=g)
+        A = np.multiply(2j * k, dx)
+        np.exp(A, out=A)
+        A -= 1.0
+        A /= 2j * k
+    del dx
+    # above the diagonal I - M = -M, with M = weights * kernel * V
+    A *= _row_weights(grid)
+    A *= -V
+    g = solve_triangular(A, np.ones(len(grid)), unit_diagonal=True)
+    return JostSample(k=k, F=complex(g[0]), iterations_used=1, grid=grid, g=g)
 
 
 def jost_bound(p: Potential, omega: float) -> float:
@@ -222,8 +174,9 @@ def jost_identity_check(p: Potential, omega: float, j: int,
 
     Left side: shooting eigenvalue + normalized-eigenfunction derivative at
     the origin.  Right side: tail amplitude s_j of the same eigenfunction
-    matched against the Jost solution, and dF/dk by central differences of
-    the Jost series along the imaginary axis (step well inside the gap).
+    matched against the Jost solution, and dF/dk by a Richardson pair of
+    central differences of F along the imaginary axis (step well inside
+    the gap), all five Jost solves on one shared grid.
     """
     from .forward import eigenvalues
 
@@ -254,7 +207,7 @@ def jost_identity_check(p: Potential, omega: float, j: int,
     fdot = (4.0 * central(0.5 * h) - central(h)) / 3.0
 
     # tail amplitude against the actual Jost solution, not the bare
-    # exponential: phi ~ s e^{-xi x} g(x) with g from the same series
+    # exponential: phi ~ s e^{-xi x} g(x) with g from the same solve
     g_end = s0.f_at(prof.x_stop) * math.exp(x * prof.x_stop)
     log_s = prof.log_s - math.log(abs(g_end.real))
     lhs = 4.0 * x * x / prof.C
