@@ -131,7 +131,7 @@ def summarize(runs: list, metric_names: list) -> dict:
     ok = [r for r in runs if "metrics" in r]
     out = {name: spread([r["metrics"][name] for r in ok]) for name in metric_names if ok}
     out["runs_failed_to_report"] = len(runs) - len(ok)
-    out["all_correct"] = all(r["correct"] for r in ok)
+    out["all_correct"] = bool(ok) and all(r["correct"] for r in ok)
     out["failed_operations"] = sum(r["failed"] for r in ok)
     out["attempted_operations"] = sum(r["attempted"] for r in ok)
     return out

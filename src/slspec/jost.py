@@ -74,8 +74,9 @@ def _jost_grid(p: Potential, omega: float, k: complex, tol: float) -> np.ndarray
         return np.unique(np.concatenate(blocks))
 
     g = build(h0)
-    if len(g) > 3200:
-        g = build(h0 * len(g) / 3200.0)
+    while len(g) > 3200:
+        h0 *= len(g) / 3200.0
+        g = build(h0)
     return g
 
 

@@ -9,11 +9,12 @@ definite with a rank-one x-derivative, M' = s v v^T, so
     d/dx  ln det M = s v^T M^-1 v,
     d2/dx2 ln det M = 2 s v1^T M^-1 v - (s v^T M^-1 v)^2,   v1 = v',
 
-and one routine, `_rank_one_logdet`, serves them all.  The identities hold
-verbatim on the scaled entries with v scaled by the same exp(-xi_j x) (the
-extracted log-scale is linear in x and drops out of the second derivative;
-for the primitive the baseline at x = 0 cancels it exactly since v(0) = 0
-for the sinh families).
+and one routine, `_rank_one_logdet`, serves them all in float64; only gl0,
+whose W entries have a closed form, escalates to mpmath on exact entries.
+The identities hold verbatim on the scaled entries with v scaled by the same
+exp(-xi_j x) (the extracted log-scale is linear in x and drops out of the
+second derivative; for the primitive the baseline at x = 0 cancels it
+exactly since v(0) = 0 for the sinh families).
 """
 from __future__ import annotations
 
@@ -122,13 +123,13 @@ def _rank_one_logdet(M: np.ndarray, v: np.ndarray, v1: np.ndarray, s: float,
     """(d/dx, d2/dx2) of ln det M for an SPD family with M' = s v v^T and
     M'' = s (v1 v^T + v v1^T):  d1 = s v^T M^-1 v, d2 = 2 s v1^T M^-1 v - d1^2.
 
-    One Cholesky of the diagonally equilibrated M serves when its LAPACK
-    rcond estimate clears 1/_COND_FLOAT64.  Otherwise (or when the float64
-    Cholesky fails) the quadratic forms are solved in arbitrary precision
-    on mp_entries(mp) -> (M, v, v1) as mpmath matrices, by default the
-    float64 entries.  The sinh Gramians inside these families have
-    conditioning growing like e^(cN), far past float64 for N over ~15,
-    which no rescaling can repair; the digit count scales with N instead.
+    One Cholesky of the diagonally equilibrated M solves both forms.  Without
+    mp_entries that solve is final whatever its conditioning (rounded entries
+    hold no more digits); a failed Cholesky or a non-positive diagonal raises
+    SingularFamilyError.  Exact entries, mp_entries(mp) -> (M, v, v1) as mpmath
+    matrices, escalate the solve when the rcond estimate is below
+    1/_COND_FLOAT64 or the Cholesky fails: the sinh Gramians' conditioning
+    grows like e^(cN), which no rescaling repairs; the digits scale with N.
     """
     d1 = None
     diag = np.diag(M)
@@ -139,17 +140,15 @@ def _rank_one_logdet(M: np.ndarray, v: np.ndarray, v1: np.ndarray, s: float,
             cf = cho_factor(Me)
         except LinAlgError:
             cf = None
-        if (cf is not None and dpocon(cf[0], np.abs(Me).sum(axis=0).max())[0]
-                > 1.0 / _COND_FLOAT64):
+        if cf is not None and (mp_entries is None or dpocon(
+                cf[0], np.abs(Me).sum(axis=0).max())[0] > 1.0 / _COND_FLOAT64):
             z = cho_solve(cf, v * r)
             d1 = s * float((v * r) @ z)
             d2 = 2.0 * s * float((v1 * r) @ z) - d1 * d1
     if d1 is None:
-        import mpmath as mp
         if mp_entries is None:
-            def mp_entries(mp):
-                return (mp.matrix(M.tolist()), mp.matrix(v.tolist()),
-                        mp.matrix(v1.tolist()))
+            raise SingularFamilyError("family not positive definite in float64")
+        import mpmath as mp
         n = len(v)
         with mp.workdps(max(50, 30 + int(2.6 * n))):
             Mm, vm, v1m = mp_entries(mp)
@@ -389,8 +388,8 @@ def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = 
         _, Fh, F1h = cache
         T = _t_matrix_at(sd, kf, i, cache)
         try:
-            # entries are float64-accurate only: an mpmath escalation removes
-            # the factorization's conditioning loss, not the entry rounding
+            # entries are float64-accurate only, so the float64 solve is
+            # final: an exact solve of rounded entries recovers no digits
             d1, d2 = _rank_one_logdet(T, Fh[:, i], F1h[:, i], 4.0)
             q[k] = (2.0 / om2) * (-dd + d2)
             qint[k] = (2.0 / om2) * (-float(np.real(kf.diag[i])) + d1)

@@ -28,3 +28,8 @@ def q1_sd10(q1):
 @pytest.fixture(scope="session")
 def q1_sd20(q1):
     return forward(q1, 20.0)
+
+
+@pytest.fixture(scope="session")
+def q4_sd20(q4):
+    return forward(q4, 20.0)

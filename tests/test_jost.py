@@ -91,6 +91,11 @@ def test_identity_at_omega_20_returns_for_every_state(q1, q1_sd20):
     assert max(res[7:]) <= 1e-3
 
 
+@pytest.mark.parametrize("k", [50.0, 200.0, 100j, 1000j, 1e4j])
+def test_grid_keeps_its_point_cap(q1, k):
+    assert len(_jost_grid(q1, 10.0, k, 1e-10)) <= 3200
+
+
 def _per_row_weights(grid):
     """Reference: composite Simpson over [x_i, X], each row found afresh."""
     m = len(grid)

@@ -119,11 +119,15 @@ def test_logdet_d2_scalar_families():
     assert abs(d2 - 1.0 / math.cosh(1.0) ** 2) < 1e-12
 
 
-def _mp_fd_logdet(S, v, v1, s, h=1e-5):
+def _mp_fd_logdet(S, v, v1, s, h=1e-5, mp_entries=None):
     """Central differences (d1, d2) at t = 0 of ln det of the rank-one family
-    S + s (t v v^T + t^2/2 (v1 v^T + v v1^T)), built in 50-digit mpmath."""
+    S + s (t v v^T + t^2/2 (v1 v^T + v v1^T)), built in 50-digit mpmath on
+    the float64 arrays, or on mp_entries(mp) -> (S, v, v1) when given."""
     with mp.workdps(50):
-        Sm, vm, v1m = mp.matrix(S.tolist()), mp.matrix(v.tolist()), mp.matrix(v1.tolist())
+        if mp_entries is None:
+            Sm, vm, v1m = mp.matrix(S.tolist()), mp.matrix(v.tolist()), mp.matrix(v1.tolist())
+        else:
+            Sm, vm, v1m = mp_entries(mp)
         P = vm * vm.T
         Q = v1m * vm.T + vm * v1m.T
         hm = mp.mpf(h)
@@ -132,23 +136,40 @@ def _mp_fd_logdet(S, v, v1, s, h=1e-5):
                 float((ld[2] - 2 * ld[1] + ld[0]) / hm ** 2))
 
 
+def _exact_hilbert(n, u, u1, calls):
+    """mp_entries for the Hilbert matrix 1/(i+j+1), exact in the working
+    precision, with v = H u and v1 = H u1; each call is logged in calls."""
+    def entries(mp):
+        calls.append(n)
+        H = mp.matrix([[mp.mpf(1) / (i + j + 1) for j in range(n)] for i in range(n)])
+        return H, H * mp.matrix(u.tolist()), H * mp.matrix(u1.tolist())
+    return entries
+
+
 def test_logdet_d2_matches_finite_differences_random():
-    # random SPD S take the float64 Cholesky path; Hilbert S (rcond ~1e-10
-    # at n = 8, ~1e-16 at n = 12) take the mpmath path, with v = S u to keep
-    # v^T S^-1 v of order one however ill-conditioned S is
+    # random SPD S and the float64 Hilbert S (rcond ~1e-10 at n = 8, ~1e-16
+    # at n = 12) take the float64 Cholesky path; the Hilbert S given exactly
+    # through mp_entries take the mpmath path.  v = S u keeps v^T S^-1 v of
+    # order one however ill-conditioned S is
     rng = np.random.default_rng(7)
     cases = []
     for _ in range(6):
         B = rng.standard_normal((4, 4))
         cases.append((B @ B.T + 4 * np.eye(4), rng.standard_normal(4),
-                      rng.standard_normal(4)))
+                      rng.standard_normal(4), None))
+    exact = []
     for n in (8, 12):
         H = hilbert(n)
-        cases.append((H, H @ rng.standard_normal(n), H @ rng.standard_normal(n)))
-    for k, (S, v, v1) in enumerate(cases):
+        u, u1 = rng.standard_normal(n), rng.standard_normal(n)
+        cases.append((H, H @ u, H @ u1, None))
+        exact.append((H, H @ u, H @ u1, (n, u, u1)))
+    for k, (S, v, v1, hu) in enumerate(cases + exact):
         s = (4.0, -1.0)[k % 2]
-        fd1, fd2 = _mp_fd_logdet(S, v, v1, s)
-        d1, d2 = _rank_one_logdet(S, v, v1, s)
+        calls = []
+        entries = None if hu is None else _exact_hilbert(*hu, calls)
+        fd1, fd2 = _mp_fd_logdet(S, v, v1, s, mp_entries=entries)
+        d1, d2 = _rank_one_logdet(S, v, v1, s, entries)
+        assert len(calls) == (0 if hu is None else 2)
         assert abs(d1 - fd1) < 1e-5
         assert abs(d2 - fd2) < 1e-5
 
@@ -283,6 +304,22 @@ def test_glm_profile_stable_under_kernel_doubling(q4):
     ia = np.isin(np.round(a.grid, 10), common)
     ib = np.isin(np.round(b.grid, 10), common)
     assert np.max(np.abs(a.Q_rec[ia] - b.Q_rec[ib])) < 5e-3
+
+
+def test_glm_and_lax_levermore_never_call_mpmath(q4_sd20, monkeypatch):
+    # T and I + G carry float64 entries: an exact solve of rounded entries
+    # adds no digits, so both maps solve in float64 alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath solve on float64 entries")
+
+    monkeypatch.setattr(mp, "lu_solve", refuse)
+    sd = q4_sd20
+    grid = np.linspace(0.0, 2.0, 9)
+    eps = 1.0 / sd.omega
+    for res in (reconstruct_glm(sd, grid, n_kernel=128),
+                lax_levermore(sd.xi * eps, sd.C, eps, grid)):
+        assert not res.flags.any()
+        assert np.all(np.isfinite(res.Q_rec)) and np.all(np.isfinite(res.Q_int))
 
 
 def test_glm_empty_data_gives_kernel_baseline():
