@@ -85,7 +85,7 @@ def _parse_complex(text: str) -> complex:
 
 def cmd_forward(args) -> int:
     p = load_potential(args.potential)
-    opts = SolverOptions(tol=args.tol) if args.tol else None
+    opts = SolverOptions(tol=args.tol) if args.tol is not None else None
     sd = forward_solve(p, args.omega, opts, potential_id=args.potential)
     with open(args.out, "w") as fh:
         fh.write(sd.to_json())

@@ -13,6 +13,11 @@ whose truncation domains are thousands of length units, are finished on a
 Wronskian-mismatch functional instead (the phase representation compresses
 their information exponentially, the mismatch keeps it well conditioned),
 and the same mismatch powers the high-accuracy polish at moderate omega.
+
+Two scalar legs serve both the mismatch and the state profiles: the left
+leg integrates the linear equation with its norm integral from the origin
+to the matching point, the right leg the Riccati equation of the decaying
+solution's log-derivative back from the truncation point.
 """
 from __future__ import annotations
 
@@ -42,14 +47,28 @@ class BracketError(ForwardError):
 
 @dataclass
 class SolverOptions:
-    tol: float = 1e-10              # xi tolerance of the refinement
-    points_per_radian: float = 60.0
-    efolds: float = 13.0            # decay margin past the turning point
-    polish: Optional[bool] = None   # None: auto (on for omega <= 25)
-    polish_rtol: float = 1e-12
-    xi_floor: Optional[float] = None
-    x_inf_cap: float = 1e8
-    sensitivity_check: bool = False
+    """Settings of the eigenvalue search.
+
+    tol is the xi tolerance of the mismatch refinement.  polish turns the
+    mismatch polish of the sweep's states on or off; None turns it on for
+    omega <= 25.  Without the polish, xi carries the Pruefer sweep's
+    discretization bias (up to 4.8e-4 on q1 at omega 40), not tol.
+    """
+    tol: float = 1e-10
+    polish: Optional[bool] = None
+
+
+# Pruefer grid resolution: steps per radian of the local oscillation
+_POINTS_PER_RADIAN = 60.0
+# decay margin, in e-folds of the level, past the truncation's turning point
+_EFOLDS = 13.0
+# no truncation point lies beyond this x
+_X_INF_CAP = 1e8
+# rtol of the scalar legs.  The mismatch keeps 1e-12: at 1e-11 its xi moves
+# C of q1's weakest state at omega 40 by 1.0e-9 relative.  The profiles keep
+# 1e-11: 1e-12 there takes 30-50% longer on q1 at omega 40.
+_MISMATCH_RTOL = 1e-12
+_PROFILE_RTOL = 1e-11
 
 
 @dataclass
@@ -136,13 +155,12 @@ class _ShootGrid:
 class _Problem:
     """Turning-point table, truncation rule, and grids for one (Q, omega)."""
 
-    def __init__(self, p: Potential, omega: float, opts: SolverOptions):
+    def __init__(self, p: Potential, omega: float):
         self.p = p
         self.omega = omega
-        self.opts = opts
         self.sq0 = math.sqrt(p.q0)
         self.xi_max = omega * self.sq0
-        self.xi_floor = opts.xi_floor or 1e-4 / omega
+        self.xi_floor = 1e-4 / omega
         self._xplus_table = self._build_xplus_table()
 
     def _build_xplus_table(self):
@@ -180,8 +198,7 @@ class _Problem:
         if self.p.support_end is not None:
             return np.full_like(xi, self.p.support_end)
         base = self.x_plus(0.7 * xi)
-        return np.minimum(base + self.opts.efolds / np.maximum(xi, 1e-300),
-                          self.opts.x_inf_cap)
+        return np.minimum(base + _EFOLDS / np.maximum(xi, 1e-300), _X_INF_CAP)
 
     def x_match(self, xi: float) -> float:
         """Matching point for the two-sided solves: a little past the turning
@@ -197,7 +214,6 @@ class _Problem:
         return min(xp + pad, 0.5 * (xp + x_stop))
 
     def build_grid(self, x_max: float) -> _ShootGrid:
-        ppr = self.opts.points_per_radian
         om2 = self.omega ** 2
         bps = sorted(b for b in self.p.breakpoints if 0 < b < x_max)
         bps.append(x_max)
@@ -215,9 +231,9 @@ class _Problem:
             q_ahead = eval_potential(self.p, 0.9 * x + 1e-12, 0)
             xi_act = min(math.sqrt(xi_max2),
                          max(1.5 * math.sqrt(om2 * q_ahead),
-                             self.opts.efolds / (0.3 * max(x, 0.1))))
+                             _EFOLDS / (0.3 * max(x, 0.1))))
             jac = 1.0 + om2 * q + xi_act * xi_act
-            h = min(1.0 / (ppr * math.sqrt(om2 * q) + 1.0), 2.5 / jac, 0.8)
+            h = min(1.0 / (_POINTS_PER_RADIAN * math.sqrt(om2 * q) + 1.0), 2.5 / jac, 0.8)
             if x + h >= bp - 1e-14:
                 h = bp - x
                 try:
@@ -293,65 +309,70 @@ def _phase_count_fn(prob: _Problem, grid: _ShootGrid):
 
 
 # ----------------------------------------------------------------------
-# scalar two-sided machinery (node counts, Wronskian mismatch)
+# scalar two-sided machinery (the two legs, Wronskian mismatch, node counts)
 
-def _forward_leg(prob: _Problem, xi: float, x_m: float):
-    """Integrate y'' = (xi^2 - om^2 Q) y from (0, 1), counting interior zeros.
+def _left_leg(prob: _Problem, xi: float, x_m: float, rtol: float,
+              count_nodes: bool = False):
+    """Integrate y'' = (xi^2 - om^2 Q) y and z' = y^2 from (0, 1, 0) at the
+    origin to x_m, one solve per breakpoint segment.
 
-    Returns (y(x_m), y'(x_m), nodes).
+    Returns (y(x_m), y'(x_m), z(x_m), nodes); nodes counts the interior zeros
+    of y when count_nodes is set and is 0 otherwise.
     """
     om2 = prob.omega ** 2
     p = prob.p
 
     def rhs(x, y):
-        return [y[1], (xi * xi - om2 * eval_potential(p, x, 0)) * y[0]]
+        return [y[1], (xi * xi - om2 * eval_potential(p, x, 0)) * y[0], y[0] * y[0]]
 
     def node(x, y):
         return y[0]
-    node.direction = 0.0
 
     segs = [0.0] + [b for b in p.breakpoints if 0 < b < x_m] + [x_m]
-    y = np.array([1e-300, 1.0])
+    y = np.array([0.0, 1.0, 0.0])
     nodes = 0
-    first = True
     for a, b in zip(segs[:-1], segs[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853",
-                        rtol=prob.opts.polish_rtol, atol=1e-14, events=node)
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=1e-14,
+                        events=node if count_nodes else None)
         y = sol.y[:, -1]
-        ev = sol.t_events[0]
-        if first:
-            ev = ev[ev > 1e-9]  # the Dirichlet zero at x = 0 is not a node
-            first = False
-        nodes += len(ev)
-    return float(y[0]), float(y[1]), nodes
+        if count_nodes:
+            # the Dirichlet zero at x = 0 is not a node
+            nodes += int(np.count_nonzero(sol.t_events[0] > 1e-9))
+    return float(y[0]), float(y[1]), float(y[2]), nodes
 
 
-def _backward_log_derivative(prob: _Problem, xi: float, x_m: float) -> float:
-    """Log-derivative of the decaying solution at x_m, from a backward
-    Riccati integration started at y'/y = -xi on the truncation point."""
-    x_stop = float(prob.x_stop(xi))
+def _right_leg(prob: _Problem, xi: float, x_m: float, x_stop: float, u0: float,
+               rtol: float, dense: bool = False):
+    """Integrate the decaying solution's log-derivative u = y'/y (Riccati:
+    u' = xi^2 - om^2 Q - u^2) and L = int_{x_stop}^x u back from
+    u(x_stop) = u0 to x_m.
+
+    Returns (u(x_m), L(x_m), the dense solution or None).  With x_stop at or
+    before x_m nothing is integrated: (u0, 0, None).
+    """
     if x_stop <= x_m * (1 + 1e-12):
-        return -xi
+        return u0, 0.0, None
     om2 = prob.omega ** 2
     p = prob.p
 
-    def rhs_u(x, u):
-        return [xi * xi - om2 * eval_potential(p, x, 0) - u[0] * u[0]]
+    def rhs(x, w):
+        return [xi * xi - om2 * eval_potential(p, x, 0) - w[0] * w[0], w[0]]
 
-    sol = solve_ivp(rhs_u, (x_stop, x_m), [-xi], method="DOP853",
-                    rtol=prob.opts.polish_rtol, atol=1e-14)
-    return float(sol.y[0, -1])
+    sol = solve_ivp(rhs, (x_stop, x_m), [u0, 0.0], method="DOP853", rtol=rtol,
+                    atol=1e-14, dense_output=dense)
+    return float(sol.y[0, -1]), float(sol.y[1, -1]), sol.sol
 
 
 def _mismatch(prob: _Problem, xi: float, with_nodes: bool = False):
     """Matching residual W(xi) = y_L'(x_m) - u_R(x_m) y_L(x_m), normalized.
 
     Zero exactly at eigenvalues; its sign together with the node count of
-    y_L below x_m gives the exact number of eigenvalues above xi.
+    y_L below x_m gives the exact number of eigenvalues above xi.  The right
+    leg starts on y'/y = -xi at the truncation point.
     """
     x_m = prob.x_match(xi)
-    y, v, nodes = _forward_leg(prob, xi, x_m)
-    u_r = _backward_log_derivative(prob, xi, x_m)
+    y, v, _, nodes = _left_leg(prob, xi, x_m, _MISMATCH_RTOL, with_nodes)
+    u_r = _right_leg(prob, xi, x_m, float(prob.x_stop(xi)), -xi, _MISMATCH_RTOL)[0]
     w = (v - u_r * y) / math.hypot(y, v)
     if with_nodes:
         # one extra zero of y_L beyond x_m exactly when the growing-branch
@@ -360,16 +381,14 @@ def _mismatch(prob: _Problem, xi: float, with_nodes: bool = False):
     return w
 
 
-def count_above(p: Potential, omega: float, xi_star: float,
-                opts: Optional[SolverOptions] = None, _prob=None) -> int:
+def count_above(p: Potential, omega: float, xi_star: float, _prob=None) -> int:
     """Exact number of eigenvalues with xi > xi_star (Sturm oscillation)."""
-    prob = _prob or _Problem(p, omega, opts or SolverOptions())
+    prob = _prob or _Problem(p, omega)
     _, n = _mismatch(prob, xi_star, with_nodes=True)
     return n
 
 
-def count_states(p: Potential, omega: float,
-                 opts: Optional[SolverOptions] = None, _prob=None) -> int:
+def count_states(p: Potential, omega: float, _prob=None) -> int:
     """Number of bound states, from the oscillation count of the zero-energy
     Dirichlet solution (each interior zero binds exactly one state).
 
@@ -377,13 +396,12 @@ def count_states(p: Potential, omega: float,
     contributes one more zero; knife-edge cases (threshold states) are
     re-decided by the well-conditioned two-sided counter at a tiny xi.
     """
-    opts = opts or SolverOptions()
-    prob = _prob or _Problem(p, omega, opts)
+    prob = _prob or _Problem(p, omega)
     grid = prob.build_grid(prob.count_grid_extent())
     theta = _pruefer_sweep(grid, np.array([0.0]), np.array([grid.x_max]))[0]
     n, frac = divmod(theta / math.pi, 1.0)
     if abs(frac - 0.5) < 1e-3 and p.support_end is None:
-        return count_above(p, omega, prob.xi_floor, opts, _prob=prob)
+        return count_above(p, omega, prob.xi_floor, _prob=prob)
     return int(n) + (1 if frac > 0.5 else 0)
 
 
@@ -400,18 +418,20 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
     says so with a RuntimeWarning.
     """
     opts = opts or SolverOptions()
-    prob = _Problem(p, omega, opts)
-    n_states = count_states(p, omega, opts, _prob=prob)
+    if not (math.isfinite(opts.tol) and opts.tol > 0):
+        raise ForwardError(f"tol must be finite and positive, got {opts.tol!r}")
+    prob = _Problem(p, omega)
+    n_states = count_states(p, omega, _prob=prob)
     if n_states == 0:
         return np.empty(0)
     lo0 = prob.xi_floor
-    if p.support_end is None and count_above(p, omega, lo0, opts, _prob=prob) < n_states:
+    if p.support_end is None and count_above(p, omega, lo0, _prob=prob) < n_states:
         raise BracketError(
             f"weakest of {n_states} states lies below the resolvable floor "
             f"xi = {lo0:.3g}")
 
     # vector grid serves states down to xi_split; weaker ones go scalar
-    xi_split = max(opts.efolds / 600.0, 1.2 * lo0)
+    xi_split = max(_EFOLDS / 600.0, 1.2 * lo0)
     x_cap = float(prob.x_stop(min(xi_split, prob.xi_max / 4)))
     grid = prob.build_grid(x_cap)
     P = _phase_count_fn(prob, grid)
@@ -500,18 +520,7 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
                     f"(width {hi[i] - lo[i]:.3g}), accurate only to the phase "
                     f"sweep's discretization, not to tol = {opts.tol:.3g}",
                     RuntimeWarning, stacklevel=2)
-    xi = np.sort(xi)
-    if opts.sensitivity_check and n_states:
-        wide = SolverOptions(**{**opts.__dict__, "efolds": opts.efolds * 2,
-                                "sensitivity_check": False})
-        prob2 = _Problem(p, omega, wide)
-        w1 = _mismatch(prob, xi[0])
-        w2 = _mismatch(prob2, xi[0])
-        if abs(w2 - w1) > 1e-6:
-            raise ForwardError(
-                f"truncation radius too small: mismatch shifts by "
-                f"{abs(w2 - w1):.2e} when the tail margin doubles")
-    return xi
+    return np.sort(xi)
 
 
 @dataclass
@@ -524,64 +533,43 @@ class StateProfile:
     mismatch: float
 
 
-def _state_profiles(p: Potential, omega: float, xi: np.ndarray,
-                    opts: Optional[SolverOptions] = None) -> list:
+def _state_profiles(p: Potential, omega: float, xi: np.ndarray) -> list:
     """Normalization data per state: C_j, tail amplitude log s_j, diagnostics.
 
-    The state is matched across the turning point (forward linear leg,
-    backward Riccati with log-amplitude), so deep states never overflow; the
-    normalization adds the analytic exponential tail beyond the truncation.
+    The state is matched across the turning point by the two scalar legs
+    (the left leg carries the norm integral to x_m; the right leg carries
+    the log-amplitude L back from the truncation), so deep states never
+    overflow; the normalization adds the analytic exponential tail beyond
+    the truncation.
     """
-    opts = opts or SolverOptions()
-    prob = _Problem(p, omega, opts)
+    prob = _Problem(p, omega)
     om2 = omega * omega
     out = []
     for x in np.asarray(xi, dtype=float):
-        # amplitude extraction is first-order sensitive to the truncation
-        # boundary condition (no e-fold suppression, unlike the eigenvalue),
-        # so push the truncation to omega^2 Q <= 1e-4 xi^2 and start the
-        # backward Riccati on the WKB-corrected log-derivative
         x_stop = float(prob.x_stop(x))
-        if p.support_end is None:
-            x_stop = max(x_stop, float(prob.x_plus(1e-2 * x)))
         x_m = prob.x_match(x)
-
-        def rhs(t, y):
-            q = eval_potential(p, t, 0)
-            return [y[1], (x * x - om2 * q) * y[0], y[0] * y[0]]
-
-        segs = [0.0] + [b for b in p.breakpoints if 0 < b < x_m] + [x_m]
-        y = np.array([0.0, 1.0, 0.0])
-        for a, b in zip(segs[:-1], segs[1:]):
-            sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-11, atol=1e-14)
-            y = sol.y[:, -1]
-        y_m, v_m, z_l = y
-
-        if x_stop <= x_m * (1 + 1e-12):
-            l_m = 0.0
-            m_hat = 0.0
-            u_m = -x
-        else:
-            def rhs_ul(t, w):
-                q = eval_potential(p, t, 0)
-                return [x * x - om2 * q - w[0] * w[0], w[0]]
+        y_m, v_m, z_l, _ = _left_leg(prob, x, x_m, _PROFILE_RTOL)
+        u0 = -x
+        if p.support_end is None:
+            # amplitude extraction is first-order sensitive to the truncation
+            # boundary condition (no e-fold suppression, unlike the
+            # eigenvalue), so push the truncation to omega^2 Q <= 1e-4 xi^2
+            # and start the right leg on the WKB-corrected log-derivative
+            x_stop = max(x_stop, float(prob.x_plus(1e-2 * x)))
             kap2 = x * x - om2 * eval_potential(p, x_stop, 0)
             u0 = -math.sqrt(max(kap2, 0.25 * x * x))
             if p.m_smoothness >= 1:
                 u0 += om2 * eval_potential(p, x_stop, 1) / (4.0 * kap2)
-            solu = solve_ivp(rhs_ul, (x_stop, x_m), [u0, 0.0], method="DOP853",
-                             rtol=1e-11, atol=1e-14, dense_output=True)
-            u_m = solu.y[0, -1]
-            # L(x) = int_{x_stop}^{x} u ds grows positive toward x_m (the
-            # decaying branch is integrated against the orientation)
-            l_m = solu.y[1, -1]
-            span = x_stop - x_m
-            n_ts = int(min(30000, max(801, 60.0 * x * span)))
+        # L(x) = int_{x_stop}^{x} u ds grows positive toward x_m (the
+        # decaying branch is integrated against the orientation)
+        u_m, l_m, dense = _right_leg(prob, x, x_m, x_stop, u0, _PROFILE_RTOL, dense=True)
+        m_hat = 0.0
+        if dense is not None:
+            n_ts = int(min(30000, max(801, 60.0 * x * (x_stop - x_m))))
             n_ts += n_ts % 2
             ts = np.linspace(x_m, x_stop, n_ts + 1)
-            Ls = solu.sol(ts)[1]
             wts = simpson_weights(n_ts, ts[1] - ts[0])
-            m_hat = float(np.dot(wts, np.exp(2.0 * (Ls - l_m))))
+            m_hat = float(np.dot(wts, np.exp(2.0 * (dense(ts)[1] - l_m))))
         tail = math.exp(-2.0 * l_m) / (2.0 * x)
         norm2 = z_l + y_m * y_m * (m_hat + tail)
         C = 1.0 / norm2
@@ -591,14 +579,13 @@ def _state_profiles(p: Potential, omega: float, xi: np.ndarray,
     return out
 
 
-def characteristic_values(p: Potential, omega: float, xi: Sequence,
-                          opts: Optional[SolverOptions] = None) -> np.ndarray:
+def characteristic_values(p: Potential, omega: float, xi: Sequence) -> np.ndarray:
     """C_j = phi_j'(0)^2 for the L2-normalized Dirichlet eigenfunctions.
 
     The normalization integral is computed on [0, X_stop] plus the analytic
     exponential tail C e^{-2 xi x} beyond it.
     """
-    profs = _state_profiles(p, omega, np.asarray(xi, dtype=float), opts)
+    profs = _state_profiles(p, omega, np.asarray(xi, dtype=float))
     return np.array([s.C for s in profs])
 
 
@@ -606,7 +593,7 @@ def forward(p: Potential, omega: float, opts: Optional[SolverOptions] = None,
             potential_id: str = "") -> SpectralData:
     """eigenvalues + characteristic_values packaged as SpectralData."""
     xi = eigenvalues(p, omega, opts)
-    C = characteristic_values(p, omega, xi, opts) if len(xi) else np.empty(0)
+    C = characteristic_values(p, omega, xi) if len(xi) else np.empty(0)
     return SpectralData(
         omega=omega, xi=xi, C=C, q0=p.q0,
         q0_derivatives=tuple(p.q0_derivatives), potential_id=potential_id or p.kind,

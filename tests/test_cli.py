@@ -67,6 +67,16 @@ def test_error_record_names_module_and_operation(tmp_path, capsys):
     assert err["error"]["module"] == "potentials"
 
 
+@pytest.mark.parametrize("tol", [0, -1])
+def test_forward_rejects_tol_not_positive(tmp_path, capsys, tol):
+    rc = run(["forward", "--potential", "square_well", "--omega", 10,
+              "--tol", tol, "--out", tmp_path / "x.json"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["operation"] == "forward"
+    assert err["error"]["module"] == "forward"
+
+
 def test_schema_version_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 3, "omega": 10, "xi": [], "C": [],

@@ -126,10 +126,28 @@ def test_spectral_json_roundtrip(q1_sd10):
         SpectralData.from_json(json.dumps(doc))
 
 
-def test_truncation_sensitivity_passes(q1):
-    opts = SolverOptions(sensitivity_check=True)
-    xi = eigenvalues(q1, 10.0, opts)
-    assert len(xi) == 5
+def test_truncation_sensitivity_passes(monkeypatch, q1, q1_sd10):
+    # the mismatch at the weakest level must not move when the tail margin
+    # past the truncation's turning point doubles (xi = 5e-4 at omega 40)
+    for omega, xi0 in ((10.0, q1_sd10.xi[0]), (40.0, eigenvalues(q1, 40.0)[0])):
+        prob = fwd._Problem(q1, omega)
+        w1 = fwd._mismatch(prob, xi0)
+        with monkeypatch.context() as m:
+            m.setattr(fwd, "_EFOLDS", 2 * fwd._EFOLDS)
+            w2 = fwd._mismatch(prob, xi0)
+        assert abs(w2 - w1) <= 1e-6
+
+
+@pytest.mark.parametrize("omega", [10.0, 20.0])
+def test_count_above_across_breakpoints_matches_oracle(sw, omega):
+    # the left leg restarts at the well's edge and drops the zero at x = 0;
+    # the count must match the closed form on both sides of every level
+    levels = squarewell_oracle(omega).xi
+    probes = np.concatenate([0.5 * (levels[:-1] + levels[1:]),
+                             levels * (1 - 1e-6), levels * (1 + 1e-6),
+                             [0.01, 0.999 * omega]])
+    for s in probes:
+        assert count_above(sw, omega, s) == int(np.sum(levels > s)), s
 
 
 def test_missing_decay_metadata_raises():
@@ -170,7 +188,7 @@ def _sweep_step_loop(grid, xi, x_stop):
 def test_pruefer_sweep_matches_step_loop(kind, omega):
     # the sweep drops states from its vectors as they freeze; the arithmetic
     # per state is unchanged, so the phases must agree bit for bit
-    prob = fwd._Problem(builtin(kind), omega, SolverOptions())
+    prob = fwd._Problem(builtin(kind), omega)
     grid = prob.build_grid(float(prob.x_stop(0.05)))
     rng = np.random.default_rng(3)
     xi = np.concatenate([rng.uniform(0.05, prob.xi_max, 40), [0.05, 0.05]])
@@ -228,7 +246,7 @@ def test_ksection_matches_recorded_values_in_few_sweeps(monkeypatch, kind, omega
     xi_ref, C_ref = (np.array(v) for v in _RECORDED[kind, omega])
     assert len(xi) == len(xi_ref)
     assert np.max(np.abs(xi - xi_ref)) <= 2 * opts.tol
-    C = characteristic_values(p, omega, xi, opts)
+    C = characteristic_values(p, omega, xi)
     assert np.max(np.abs(C - C_ref) / C_ref) <= 1e-9
 
 
