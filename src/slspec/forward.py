@@ -418,6 +418,8 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
     says so with a RuntimeWarning.
     """
     opts = opts or SolverOptions()
+    if not (math.isfinite(omega) and omega > 0):
+        raise ForwardError(f"omega must be finite and positive, got {omega!r}")
     if not (math.isfinite(opts.tol) and opts.tol > 0):
         raise ForwardError(f"tol must be finite and positive, got {opts.tol!r}")
     prob = _Problem(p, omega)

@@ -11,6 +11,9 @@ definite with a rank-one x-derivative, M' = s v v^T, so
 
 and one routine, `_rank_one_logdet`, serves them all in float64; only gl0,
 whose W entries have a closed form, escalates to mpmath on exact entries.
+Those entries come from N values e_s = expm1(-2 xi_s x), built with the
+extra digits that forming e_r - e_s costs, and one Cholesky on nested lists
+of mpf solves them.
 The identities hold verbatim on the scaled entries with v scaled by the same
 exp(-xi_j x) (the extracted log-scale is linear in x and drops out of the
 second derivative; for the primitive the baseline at x = 0 cancels it
@@ -57,6 +60,9 @@ class ScaledMatrix:
 
 @dataclass
 class ReconstructionResult:
+    """Q_rec and its primitive Q_int on grid.  flags marks nodes where the
+    determinant family degenerated (their values are 0); escalated marks
+    nodes solved in mpmath on exact entries, which only gl0 has."""
     grid: np.ndarray
     Q_rec: np.ndarray
     Q_int: np.ndarray
@@ -66,6 +72,7 @@ class ReconstructionResult:
     sup_error_int: Optional[float] = None
     L1_error_int: Optional[float] = None
     flags: np.ndarray = field(default=None)
+    escalated: np.ndarray = field(default=None)
     Q_ref: np.ndarray = field(default=None)
     Q_int_ref: np.ndarray = field(default=None)
 
@@ -118,18 +125,48 @@ def build_W(x: float, sd: SpectralData) -> ScaledMatrix:
 _COND_FLOAT64 = 1e8
 
 
+def _mp_cholesky_forms(M: list, v: list, v1: list) -> tuple:
+    """(v^T M^-1 v, v1^T M^-1 v) in the working mpmath precision.
+
+    One Cholesky L L^T = M, row by row on nested lists of mpf (only the upper
+    triangle of M is read), with y = L^-1 v and y1 = L^-1 v1 carried along by
+    forward substitution: v^T M^-1 v = y^T y and v1^T M^-1 v = y1^T y.  A
+    non-positive pivot raises SingularFamilyError.
+    """
+    import mpmath as mp
+    L, y, y1 = [], [], []
+    for j in range(len(v)):
+        Lj = []
+        for k in range(j):
+            Lj.append((M[k][j] - mp.fdot(Lj, L[k])) / L[k][k])
+        d = M[j][j] - mp.fdot(Lj, Lj)
+        if not d > 0:
+            raise SingularFamilyError(
+                "determinant family numerically singular at this node")
+        ljj = mp.sqrt(d)
+        y.append((v[j] - mp.fdot(Lj, y)) / ljj)
+        y1.append((v1[j] - mp.fdot(Lj, y1)) / ljj)
+        Lj.append(ljj)
+        L.append(Lj)
+    return mp.fdot(y, y), mp.fdot(y1, y)
+
+
 def _rank_one_logdet(M: np.ndarray, v: np.ndarray, v1: np.ndarray, s: float,
                      mp_entries=None) -> tuple:
     """(d/dx, d2/dx2) of ln det M for an SPD family with M' = s v v^T and
     M'' = s (v1 v^T + v v1^T):  d1 = s v^T M^-1 v, d2 = 2 s v1^T M^-1 v - d1^2.
+    Returns (d1, d2, exact), exact True when the solve ran on mp_entries.
 
     One Cholesky of the diagonally equilibrated M solves both forms.  Without
     mp_entries that solve is final whatever its conditioning (rounded entries
     hold no more digits); a failed Cholesky or a non-positive diagonal raises
-    SingularFamilyError.  Exact entries, mp_entries(mp) -> (M, v, v1) as mpmath
-    matrices, escalate the solve when the rcond estimate is below
-    1/_COND_FLOAT64 or the Cholesky fails: the sinh Gramians' conditioning
-    grows like e^(cN), which no rescaling repairs; the digits scale with N.
+    SingularFamilyError.  Exact entries, mp_entries(mp) -> (M, v, v1) as
+    nested lists of mpf (M symmetric, its upper triangle read), escalate the
+    solve when the rcond estimate is below 1/_COND_FLOAT64 or the Cholesky
+    fails: the sinh Gramians' conditioning grows like e^(cN), which no
+    rescaling repairs, so the solve runs at max(50, 30 + 2.6 N) digits
+    (`_mp_cholesky_forms`).  mp_entries may build its entries with more
+    digits than that, but not fewer.
     """
     d1 = None
     diag = np.diag(M)
@@ -145,53 +182,58 @@ def _rank_one_logdet(M: np.ndarray, v: np.ndarray, v1: np.ndarray, s: float,
             z = cho_solve(cf, v * r)
             d1 = s * float((v * r) @ z)
             d2 = 2.0 * s * float((v1 * r) @ z) - d1 * d1
-    if d1 is None:
+    exact = d1 is None
+    if exact:
         if mp_entries is None:
             raise SingularFamilyError("family not positive definite in float64")
         import mpmath as mp
-        n = len(v)
-        with mp.workdps(max(50, 30 + int(2.6 * n))):
-            Mm, vm, v1m = mp_entries(mp)
-            try:
-                z = mp.lu_solve(Mm, vm)
-            except ZeroDivisionError as exc:
-                raise SingularFamilyError(
-                    "determinant family numerically singular at this node") from exc
-            d1m = s * sum(vm[i] * z[i] for i in range(n))
-            d2m = 2 * s * sum(v1m[i] * z[i] for i in range(n)) - d1m ** 2
-            d1, d2 = float(d1m), float(d2m)
+        with mp.workdps(max(50, 30 + int(2.6 * len(v)))):
+            yy, y1y = _mp_cholesky_forms(*mp_entries(mp))
+            d1m = s * yy
+            d1, d2 = float(d1m), float(2 * s * y1y - d1m ** 2)
     # s d1 = s^2 v^T M^-1 v >= 0 while M stays positive definite; a wrong
     # sign means the family degenerated
     if s * d1 < 0:
         raise SingularFamilyError("determinant family lost positivity")
-    return d1, d2
+    return d1, d2, exact
 
 
 def _gl0_node(sd: SpectralData, x: float) -> tuple:
-    """(d1, d2) of ln det W at x: W' = 4 v v^T with v = sh(xi x) e^{-xi x}."""
+    """(d1, d2, exact) of ln det W at x: W' = 4 v v^T with v = sh(xi x) e^{-xi x}.
+
+    The exact entries come from e_s = expm1(-2 xi_s x), one value per state:
+
+        W_sr = -(e_s + e_r + e_s e_r)/(xi_s + xi_r) - (e_r - e_s)/(xi_s - xi_r),
+        W_ss = -(2 e_s + e_s^2)/(2 xi_s) - (2x - 4 xi_s^2/C_s)(1 + e_s),
+        v = -e/2,  v1 = xi (2 + e)/2.
+
+    Forming e_r - e_s from rounded e's adds an error of up to about
+    8 max(xi)/min(gap) times the rounding of the first term, so the entries
+    are built with log10 of that many more digits than the solve uses; they
+    are then no less accurate than a per-entry expm1 build at the solve's
+    precision.
+    """
     xi = sd.xi
     n = sd.count
     vh = 0.5 * -np.expm1(-2.0 * xi * x)
     v1h = 0.5 * xi * (1.0 + np.exp(-2.0 * xi * x))
+    pad = math.ceil(math.log10(8.0 * xi[-1] / np.diff(xi).min())) if n > 1 else 0
 
     def build(mp):
-        xx = mp.mpf(x)
-        xim = [mp.mpf(float(t)) for t in xi]
-        Cm = [mp.mpf(float(t)) for t in sd.C]
-        Wm = mp.zeros(n)
-        for s in range(n):
-            for r in range(n):
-                a = xim[s] + xim[r]
-                val = -mp.expm1(-2 * a * xx) / a
-                if s != r:
-                    d = xim[s] - xim[r]
-                    val -= mp.exp(-2 * xim[r] * xx) * -mp.expm1(-2 * d * xx) / d
-                else:
-                    val -= (2 * xx - 4 * xim[s] ** 2 / Cm[s]) * mp.exp(-2 * xim[s] * xx)
-                Wm[s, r] = val
-        v = mp.matrix([-mp.expm1(-2 * xim[j] * xx) / 2 for j in range(n)])
-        v1 = mp.matrix([xim[j] * (1 + mp.exp(-2 * xim[j] * xx)) / 2 for j in range(n)])
-        return Wm, v, v1
+        with mp.workdps(mp.mp.dps + pad):
+            xx = mp.mpf(x)
+            xim = [mp.mpf(float(t)) for t in xi]
+            e = [mp.expm1(-2 * t * xx) for t in xim]
+            W = [[None] * n for _ in range(n)]
+            for s in range(n):
+                es, xs = e[s], xim[s]
+                W[s][s] = (-(2 * es + es * es) / (2 * xs)
+                           - (2 * xx - 4 * xs * xs / mp.mpf(float(sd.C[s]))) * (1 + es))
+                for r in range(s + 1, n):
+                    er, xr = e[r], xim[r]
+                    W[s][r] = W[r][s] = (-(es + er + es * er) / (xs + xr)
+                                         - (er - es) / (xs - xr))
+            return W, [-t / 2 for t in e], [t * (2 + u) / 2 for t, u in zip(xim, e)]
 
     return _rank_one_logdet(build_W(x, sd).entries, vh, v1h, 4.0, build)
 
@@ -241,16 +283,17 @@ def reconstruct_gl0(sd: SpectralData, grid: Sequence,
     q = np.zeros_like(grid)
     qint = np.zeros_like(grid)
     flags = np.zeros(len(grid), dtype=bool)
+    escalated = np.zeros(len(grid), dtype=bool)
     if sd.count:
         for i, x in enumerate(grid):
             try:
-                d1, d2 = _gl0_node(sd, x)
+                d1, d2, escalated[i] = _gl0_node(sd, x)
                 q[i] = (2.0 / om2) * d2
                 qint[i] = (2.0 / om2) * d1
             except SingularFamilyError:
                 flags[i] = True
     res = ReconstructionResult(grid=grid, Q_rec=q, Q_int=qint, method="gl0",
-                               flags=flags)
+                               flags=flags, escalated=escalated)
     return _attach_errors(res, ref)
 
 
@@ -377,6 +420,7 @@ def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = 
     q = np.zeros(len(xs))
     qint = np.zeros(len(xs))
     flags = np.zeros(len(xs), dtype=bool)
+    escalated = np.zeros(len(xs), dtype=bool)
     N = sd.count
     cache = _scaled_transformed_sinh(sd, kf) if N else None
     for k, i in enumerate(snap):
@@ -390,13 +434,13 @@ def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = 
         try:
             # entries are float64-accurate only, so the float64 solve is
             # final: an exact solve of rounded entries recovers no digits
-            d1, d2 = _rank_one_logdet(T, Fh[:, i], F1h[:, i], 4.0)
+            d1, d2, escalated[k] = _rank_one_logdet(T, Fh[:, i], F1h[:, i], 4.0)
             q[k] = (2.0 / om2) * (-dd + d2)
             qint[k] = (2.0 / om2) * (-float(np.real(kf.diag[i])) + d1)
         except SingularFamilyError:
             flags[k] = True
     res = ReconstructionResult(grid=xs, Q_rec=q, Q_int=qint, method="glm",
-                               flags=flags)
+                               flags=flags, escalated=escalated)
     return _attach_errors(res, ref)
 
 
@@ -427,6 +471,7 @@ def lax_levermore(eta: Sequence, c: Sequence, epsilon: float,
     u = np.zeros_like(grid)
     uint = np.zeros_like(grid)
     flags = np.zeros(len(grid), dtype=bool)
+    escalated = np.zeros(len(grid), dtype=bool)
     if n:
         sig = eta[:, None] + eta[None, :]
 
@@ -436,13 +481,14 @@ def lax_levermore(eta: Sequence, c: Sequence, epsilon: float,
             G = epsilon * np.outer(e, e) / sig
             return np.eye(n) + G, e, -(eta / epsilon) * e
 
-        base, _ = _rank_one_logdet(*family(0.0), -1.0)
+        base = _rank_one_logdet(*family(0.0), -1.0)[0]
         for i, x in enumerate(grid):
             try:
-                d1, d2 = _rank_one_logdet(*family(x), -1.0)
+                d1, d2, escalated[i] = _rank_one_logdet(*family(x), -1.0)
                 u[i] = -2.0 * epsilon**2 * d2
                 uint[i] = -2.0 * epsilon**2 * (d1 - base)
             except SingularFamilyError:
                 flags[i] = True
     return ReconstructionResult(grid=grid, Q_rec=-u, Q_int=-uint,
-                                method="lax_levermore", flags=flags)
+                                method="lax_levermore", flags=flags,
+                                escalated=escalated)

@@ -77,6 +77,16 @@ def test_forward_rejects_tol_not_positive(tmp_path, capsys, tol):
     assert err["error"]["module"] == "forward"
 
 
+@pytest.mark.parametrize("omega", ["0", "-5", "nan"])
+def test_forward_rejects_omega_not_positive(tmp_path, capsys, omega):
+    rc = run(["forward", "--potential", "q1", "--omega", omega,
+              "--out", tmp_path / "x.json"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["operation"] == "forward"
+    assert err["error"]["module"] == "forward"
+
+
 def test_schema_version_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 3, "omega": 10, "xi": [], "C": [],

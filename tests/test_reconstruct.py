@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -7,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, hilbert
 
+import slspec.reconstruct as R
 from slspec.forward import SpectralData, squarewell_oracle
 from slspec.glkernel import KernelField, solve_kernel
 from slspec.reconstruct import (ReconstructError, _rank_one_logdet, build_T,
                                 build_W, lax_levermore, reconstruct_gl0,
                                 reconstruct_glm)
+
+BENCH_Q1_OMEGA40 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "q1_omega40.json"
 
 
 def _sd(xi, C, omega=5.0):
@@ -106,15 +110,15 @@ def test_logdet_d2_scalar_families():
     for s, c in ((4.0, 1.3), (-1.0, -1.3)):
         M = math.exp(c * 0.7)
         v = math.sqrt(c * M / s)
-        d1, d2 = _rank_one_logdet(np.array([[M]]), np.array([v]),
-                                  np.array([0.5 * c * v]), s)
+        d1, d2, _ = _rank_one_logdet(np.array([[M]]), np.array([v]),
+                                     np.array([0.5 * c * v]), s)
         assert abs(d1 - c) < 1e-12
         assert abs(d2) < 1e-12
     # cosh family at x = 1: M' = sinh = 4 v^2, M'' = cosh = 8 v1 v,
     # (ln cosh)'' = sech^2
     v = math.sqrt(math.sinh(1.0) / 4.0)
-    d1, d2 = _rank_one_logdet(np.array([[math.cosh(1.0)]]), np.array([v]),
-                              np.array([math.cosh(1.0) / (8.0 * v)]), 4.0)
+    d1, d2, _ = _rank_one_logdet(np.array([[math.cosh(1.0)]]), np.array([v]),
+                                 np.array([math.cosh(1.0) / (8.0 * v)]), 4.0)
     assert abs(d1 - math.tanh(1.0)) < 1e-12
     assert abs(d2 - 1.0 / math.cosh(1.0) ** 2) < 1e-12
 
@@ -127,7 +131,7 @@ def _mp_fd_logdet(S, v, v1, s, h=1e-5, mp_entries=None):
         if mp_entries is None:
             Sm, vm, v1m = mp.matrix(S.tolist()), mp.matrix(v.tolist()), mp.matrix(v1.tolist())
         else:
-            Sm, vm, v1m = mp_entries(mp)
+            Sm, vm, v1m = (mp.matrix(t) for t in mp_entries(mp))
         P = vm * vm.T
         Q = v1m * vm.T + vm * v1m.T
         hm = mp.mpf(h)
@@ -138,11 +142,12 @@ def _mp_fd_logdet(S, v, v1, s, h=1e-5, mp_entries=None):
 
 def _exact_hilbert(n, u, u1, calls):
     """mp_entries for the Hilbert matrix 1/(i+j+1), exact in the working
-    precision, with v = H u and v1 = H u1; each call is logged in calls."""
+    precision, with v = H u and v1 = H u1, as nested lists; each call is
+    logged in calls."""
     def entries(mp):
         calls.append(n)
-        H = mp.matrix([[mp.mpf(1) / (i + j + 1) for j in range(n)] for i in range(n)])
-        return H, H * mp.matrix(u.tolist()), H * mp.matrix(u1.tolist())
+        H = [[mp.mpf(1) / (i + j + 1) for j in range(n)] for i in range(n)]
+        return H, [mp.fdot(row, u.tolist()) for row in H], [mp.fdot(row, u1.tolist()) for row in H]
     return entries
 
 
@@ -168,8 +173,9 @@ def test_logdet_d2_matches_finite_differences_random():
         calls = []
         entries = None if hu is None else _exact_hilbert(*hu, calls)
         fd1, fd2 = _mp_fd_logdet(S, v, v1, s, mp_entries=entries)
-        d1, d2 = _rank_one_logdet(S, v, v1, s, entries)
+        d1, d2, exact = _rank_one_logdet(S, v, v1, s, entries)
         assert len(calls) == (0 if hu is None else 2)
+        assert exact == (hu is not None)
         assert abs(d1 - fd1) < 1e-5
         assert abs(d2 - fd2) < 1e-5
 
@@ -225,6 +231,91 @@ def test_gl0_escalates_where_float64_cholesky_fails():
             d2 = (L[2] - 2 * L[1] + L[0]) / h ** 2
         assert abs(qi - (2.0 / 1600.0) * float(d1)) <= 1e-9 * abs(qi)
         assert abs(q - (2.0 / 1600.0) * float(d2)) <= 1e-8 * abs(q)
+
+
+def _bench_sd():
+    return SpectralData.from_json(BENCH_Q1_OMEGA40.read_text())
+
+
+def test_gl0_escalation_is_reported():
+    # q1 at omega = 40: 68 of the 81 nodes fail the float64 rcond gate and
+    # are solved on exact entries; none is flagged
+    res = reconstruct_gl0(_bench_sd(), np.linspace(0.0, 2.0, 81))
+    assert int(res.escalated.sum()) == 68
+    assert not res.flags.any()
+
+
+def _per_entry_W(mp, xi, C, x):
+    """Reference exact entries: each scaled W entry, v and v1 from their own
+    expm1/exp calls (2 N^2 of them), as mpmath matrices."""
+    n = len(xi)
+    xx = mp.mpf(x)
+    xim = [mp.mpf(float(t)) for t in xi]
+    Wm = mp.zeros(n)
+    for s in range(n):
+        for r in range(n):
+            a = xim[s] + xim[r]
+            val = -mp.expm1(-2 * a * xx) / a
+            if s != r:
+                d = xim[s] - xim[r]
+                val -= mp.exp(-2 * xim[r] * xx) * -mp.expm1(-2 * d * xx) / d
+            else:
+                val -= ((2 * xx - 4 * xim[s] ** 2 / mp.mpf(float(C[s])))
+                        * mp.exp(-2 * xim[s] * xx))
+            Wm[s, r] = val
+    v = mp.matrix([-mp.expm1(-2 * t * xx) / 2 for t in xim])
+    v1 = mp.matrix([t * (1 + mp.exp(-2 * t * xx)) / 2 for t in xim])
+    return Wm, v, v1
+
+
+@pytest.mark.parametrize("case", ["q1_omega40", "14_states"])
+def test_gl0_exact_entries_and_cholesky_match_references(case, monkeypatch):
+    # the entries built from N expm1 values agree with the per-entry build
+    # at 40 more digits to all but 10 of the solve's digits, and no worse
+    # than the per-entry build at the solve's own precision; the exact
+    # Cholesky forms agree with an LU solve of the same entries
+    if case == "q1_omega40":
+        sd = _bench_sd()
+    else:
+        xi = np.linspace(0.5, 30.0, 14)
+        sd = _sd(xi, np.exp(xi), omega=40.0)
+    n = sd.count
+    dps = max(50, 30 + int(2.6 * n))
+    real = R._rank_one_logdet
+    built = []
+
+    def spy(M, v, v1, s, mp_entries=None):
+        built.append((v, v1, mp_entries))
+        return real(M, v, v1, s, mp_entries)
+
+    monkeypatch.setattr(R, "_rank_one_logdet", spy)
+    for x in (1e-3, 0.05, 0.325, 1.0, 2.0):
+        R._gl0_node(sd, x)
+        vh, v1h, build = built.pop()
+        with mp.workdps(dps):
+            W, v, v1 = build(mp)
+            Wo = _per_entry_W(mp, sd.xi, sd.C, x)[0]
+        with mp.workdps(dps + 40):
+            Wr, vr, v1r = _per_entry_W(mp, sd.xi, sd.C, x)
+            tol = mp.mpf(10) ** -(dps - 10)
+            for s in range(n):
+                assert abs(v[s] - vr[s]) <= tol * abs(vr[s])
+                assert abs(v1[s] - v1r[s]) <= tol * abs(v1r[s])
+                for r in range(n):
+                    assert abs(W[s][r] - Wr[s, r]) <= tol * abs(Wr[s, r])
+            worst = max(abs(W[s][r] / Wr[s, r] - 1) for s in range(n) for r in range(n))
+            worst_old = max(abs(Wo[s, r] / Wr[s, r] - 1) for s in range(n) for r in range(n))
+            assert worst <= worst_old
+        # a zero diagonal sends the solve to the exact entries
+        d1, d2, exact = real(np.zeros((n, n)), vh, v1h, 4.0, build)
+        assert exact
+        with mp.workdps(dps):
+            z = mp.lu_solve(mp.matrix(W), mp.matrix(v))
+            d1r = 4 * mp.fdot(v, z)
+            d2r = float(8 * mp.fdot(v1, z) - d1r ** 2)
+            d1r = float(d1r)
+        assert abs(d1 - d1r) <= 1e-14 * abs(d1r)
+        assert abs(d2 - d2r) <= 1e-14 * abs(d2r)
 
 
 def test_gl0_primitive_is_derivative_of_logdet(q1_sd10):
@@ -312,13 +403,14 @@ def test_glm_and_lax_levermore_never_call_mpmath(q4_sd20, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("mpmath solve on float64 entries")
 
-    monkeypatch.setattr(mp, "lu_solve", refuse)
+    monkeypatch.setattr(R, "_mp_cholesky_forms", refuse)
     sd = q4_sd20
     grid = np.linspace(0.0, 2.0, 9)
     eps = 1.0 / sd.omega
     for res in (reconstruct_glm(sd, grid, n_kernel=128),
                 lax_levermore(sd.xi * eps, sd.C, eps, grid)):
         assert not res.flags.any()
+        assert not res.escalated.any()
         assert np.all(np.isfinite(res.Q_rec)) and np.all(np.isfinite(res.Q_int))
 
 
