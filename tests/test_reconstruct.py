@@ -15,7 +15,8 @@ from slspec.reconstruct import (ReconstructError, _rank_one_logdet, build_T,
                                 build_W, lax_levermore, reconstruct_gl0,
                                 reconstruct_glm)
 
-BENCH_Q1_OMEGA40 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "q1_omega40.json"
+BENCH_Q1_OMEGA40 = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                    / "q1_omega40.json")
 
 
 def _sd(xi, C, omega=5.0):
@@ -147,7 +148,8 @@ def _exact_hilbert(n, u, u1, calls):
     def entries(mp):
         calls.append(n)
         H = [[mp.mpf(1) / (i + j + 1) for j in range(n)] for i in range(n)]
-        return H, [mp.fdot(row, u.tolist()) for row in H], [mp.fdot(row, u1.tolist()) for row in H]
+        return (H, [mp.fdot(row, u.tolist()) for row in H],
+                [mp.fdot(row, u1.tolist()) for row in H])
     return entries
 
 
