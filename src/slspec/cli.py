@@ -43,13 +43,16 @@ def load_potential(spec: str) -> Potential:
     if not os.path.exists(spec):
         raise PotentialError(f"unknown potential {spec!r} (not a builtin, not a file)")
     if spec.endswith(".toml"):
-        try:
-            import tomli
-        except ImportError as exc:
-            raise PotentialError("TOML configs need the 'tomli' package; "
-                                 "use JSON instead") from exc
+        if sys.version_info >= (3, 11):
+            import tomllib
+        else:
+            try:
+                import tomli as tomllib
+            except ImportError as exc:
+                raise PotentialError("TOML configs need the 'tomli' package on "
+                                     "Python 3.10; use JSON instead") from exc
         with open(spec, "rb") as fh:
-            doc = tomli.load(fh)
+            doc = tomllib.load(fh)
     else:
         with open(spec) as fh:
             doc = json.load(fh)

@@ -115,6 +115,33 @@ def test_config_file_potential(tmp_path):
     assert out.read_text().startswith("j,eta")
 
 
+def test_toml_config_with_table_matches_json(tmp_path):
+    table = tmp_path / "table.csv"
+    xs = np.arange(0.0, 8.0, 0.01)
+    np.savetxt(table, np.column_stack([xs, (1 + xs * xs) ** -2]), delimiter=",")
+    (tmp_path / "pot.toml").write_text(
+        '[potential]\nkind = "tabulated"\ntable_path = "table.csv"\n'
+        "decay = { a = 2.0, k1 = 4, k2 = 4 }\n")
+    (tmp_path / "pot.json").write_text(json.dumps({"potential": {
+        "kind": "tabulated", "decay": {"a": 2.0, "k1": 4, "k2": 4},
+        "table_path": "table.csv"}}))
+    for cfg in ("pot.toml", "pot.json"):
+        assert run(["wkb", "--potential", tmp_path / cfg, "--omega", 5,
+                    "--out", tmp_path / (cfg + ".csv")]) == 0
+    toml_out = (tmp_path / "pot.toml.csv").read_bytes()
+    assert toml_out.startswith(b"j,eta")
+    assert toml_out == (tmp_path / "pot.json.csv").read_bytes()
+
+
+def test_toml_config_builtin_kind(tmp_path):
+    cfg = tmp_path / "q1.toml"
+    cfg.write_text('[potential]\nkind = "q1"\n')
+    for spec, out in ((cfg, "toml.csv"), ("q1", "builtin.csv")):
+        assert run(["wkb", "--potential", spec, "--omega", 10,
+                    "--out", tmp_path / out]) == 0
+    assert (tmp_path / "toml.csv").read_bytes() == (tmp_path / "builtin.csv").read_bytes()
+
+
 def test_plots_are_emitted(tmp_path):
     spath = tmp_path / "s.json"
     rpath = tmp_path / "r.csv"

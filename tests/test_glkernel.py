@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from slspec.glkernel import (KernelError, _phi_tables, coercivity_check,
-                             gh_values, operator_min_singular_value,
-                             phi_diag_derivative, phi_kernel, solve_kernel)
-from slspec.quadrature import gregory_weights
+from numpy.polynomial.laguerre import laggauss
+
+from slspec.glkernel import (KernelError, _phi_tables, _slice_matrix,
+                             coercivity_check, gh_values,
+                             operator_min_singular_value, phi_diag_derivative,
+                             phi_kernel, solve_kernel)
+from slspec.quadrature import gauss_panels, gregory_weights
 
 # Frozen oracle values from an independent high-precision quadrature of the
 # split representation (finite head + closed-form middle + oscillatory tail,
@@ -35,6 +38,69 @@ def test_gh_against_oracle():
     for z, ref in H_ORACLE.items():
         _, h = gh_values(z)
         assert abs(h - ref) < 1e-11
+
+
+# the (X, w, n) of test_solve_kernel_matches_dense_slices, plus the glm
+# benchmark kernel (quartic_rational at omega 20)
+KERNEL_CASES = ([(2.0, w, n) for w in (4.0, 1 + 5j) for n in (16, 17, 23, 128)]
+                + [(2.0, 400.0, 128), (5.0, 1e5, 64), (2.0, 400.0, 512)])
+
+_LAG_X, _LAG_W = laggauss(80)
+_BN = [float(np.prod([(0.5 - i) / (i + 1.0) for i in range(n)]))
+       for n in range(1, 17)]
+
+
+def _tail_moments_ref(S):
+    """Per-point tail moments, one power of the rotated contour at a time."""
+    base = S + 1j * _LAG_X
+    J = np.empty(17)
+    K = np.empty(17)
+    for n in range(1, 17):
+        I_even = 1j * np.exp(1j * S) * np.dot(_LAG_W, base ** (-2 * n))
+        I_odd = 1j * np.exp(1j * S) * np.dot(_LAG_W, base ** (-(2 * n - 1)))
+        J[n] = S ** (1 - 2 * n) / (2 * n - 1) - I_even.real
+        K[n] = I_odd.imag
+    return J, K
+
+
+def _gh_ref(z):
+    """Reference (G(z), H(z)) for one z: the same quadrature as gh_values,
+    evaluated point by point."""
+    S = max(24.0, 3.2 * math.sqrt(abs(z)))
+    xs, ws = gauss_panels(0.0, S, max(16, int(math.ceil(S / 1.5))), 12)
+    R = np.sqrt(xs * xs + z)
+    g = np.dot(ws, (1.0 - np.cos(xs)) / (xs * (xs + R)))
+    h = np.dot(ws, np.sin(xs) / (xs + R))
+    J, K = _tail_moments_ref(S)
+    zp = 1.0 + 0.0j
+    for n in range(1, 17):
+        g += _BN[n - 1] * zp * J[n]
+        h += _BN[n - 1] * zp * K[n]
+        zp *= z
+    return g, h
+
+
+@pytest.mark.parametrize("X, w, n", KERNEL_CASES)
+def test_gh_values_matches_per_point_reference(X, w, n):
+    u = np.arange(2 * n + 1) * (X / n)
+    z = w * u * u
+    G, H = gh_values(z)
+    assert G.shape == H.shape == z.shape
+    ref = np.array([_gh_ref(complex(zi)) for zi in z])
+    assert np.max(np.abs(G - ref[:, 0])) <= 1e-14 * np.max(np.abs(ref[:, 0]))
+    assert np.max(np.abs(H - ref[:, 1])) <= 1e-14 * np.max(np.abs(ref[:, 1]))
+
+
+def test_gh_values_scalar_and_domain():
+    for z in (4.0, 3 + 2j, 0):
+        g, h = gh_values(z)
+        assert type(g) is complex and type(h) is complex
+        rg, rh = _gh_ref(complex(z))
+        assert abs(g - rg) <= 1e-15 and abs(h - rh) <= 1e-15
+    with pytest.raises(KernelError):
+        gh_values(-1.0)
+    with pytest.raises(KernelError):
+        gh_values(np.array([4.0, -1e-3 + 2j]))
 
 
 def test_gh_at_zero():
@@ -163,6 +229,17 @@ def test_solve_kernel_guards_still_fire():
         solve_kernel(2.0, 400.0, n=128, tol=1e-18)
     with pytest.raises(KernelError, match="ill-conditioned"):
         solve_kernel(2.0, 400.0, n=128, tol=0.5)
+
+
+@pytest.mark.parametrize("X, w, n", KERNEL_CASES)
+def test_condition_estimate_tracks_slice_matrix_cond(X, w, n):
+    # the guard's 1-norm estimate of cond(B) against the 2-norm cond of
+    # slice n's own matrix, which the guard used to compute by SVD
+    kf = solve_kernel(X, w, n=n)
+    h = X / n
+    Phi, _, _ = _phi_tables(X, w, n)
+    ref = np.linalg.cond(_slice_matrix(Phi, gregory_weights(n, h), h * h * w / 24.0))
+    assert ref / 4.0 <= kf.cond <= 4.0 * ref
 
 
 def test_kernel_slice_norm_bound():
