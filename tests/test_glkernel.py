@@ -96,7 +96,7 @@ def test_gh_values_scalar_and_domain():
         g, h = gh_values(z)
         assert type(g) is complex and type(h) is complex
         rg, rh = _gh_ref(complex(z))
-        assert abs(g - rg) <= 1e-15 and abs(h - rh) <= 1e-15
+        assert abs(g - rg) <= 1e-14 and abs(h - rh) <= 1e-14
     with pytest.raises(KernelError):
         gh_values(-1.0)
     with pytest.raises(KernelError):
