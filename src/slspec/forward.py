@@ -14,10 +14,14 @@ Wronskian-mismatch functional instead (the phase representation compresses
 their information exponentially, the mismatch keeps it well conditioned),
 and the same mismatch powers the high-accuracy polish at moderate omega.
 
-Two scalar legs serve both the mismatch and the state profiles: the left
-leg integrates the linear equation with its norm integral from the origin
-to the matching point, the right leg the Riccati equation of the decaying
-solution's log-derivative back from the truncation point.
+Both the mismatch and the state profiles match two legs at a point past the
+turning point: the left leg integrates the linear equation from the origin,
+the right leg the Riccati equation of the decaying solution's log-derivative
+back from the truncation point.  The mismatch runs them as scalar solves,
+one state at a time.  The profiles run every state's legs in one vector
+solve, each state joining and leaving the vector at its own end points, and
+carry the norm integrals as ODE components: z' = y^2 on the left, and on the
+right R(x) = int_x^{x_stop} (y(t)/y(x))^2 dt through R' = -1 - 2 u R.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .potentials import Potential, eval_potential
-from .quadrature import integral_with_power_tail, simpson_weights
+from .quadrature import integral_with_power_tail
 
 SCHEMA_VERSION = 1
 
@@ -64,9 +68,9 @@ _POINTS_PER_RADIAN = 60.0
 _EFOLDS = 13.0
 # no truncation point lies beyond this x
 _X_INF_CAP = 1e8
-# rtol of the scalar legs.  The mismatch keeps 1e-12: at 1e-11 its xi moves
-# C of q1's weakest state at omega 40 by 1.0e-9 relative.  The profiles keep
-# 1e-11: 1e-12 there takes 30-50% longer on q1 at omega 40.
+# rtol of the legs.  The mismatch keeps 1e-12: at 1e-11 its xi moves C of
+# q1's weakest state at omega 40 by 1.0e-9 relative.  The profiles keep
+# 1e-11: 1e-12 there takes about 25% longer on q1 at omega 40.
 _MISMATCH_RTOL = 1e-12
 _PROFILE_RTOL = 1e-11
 
@@ -264,6 +268,8 @@ class _Problem:
 def _pruefer_sweep(grid: _ShootGrid, xi: np.ndarray, x_stop: np.ndarray) -> np.ndarray:
     """Integrate theta' = cos^2 + (omega^2 Q - xi^2) sin^2 for all xi at once.
 
+    The right-hand side is evaluated as 1 + (omega^2 Q - xi^2 - 1) sin^2, with
+    the bracket formed once per step: one sine and two multiply-adds a stage.
     Each state's phase is captured at its own truncation point; whatever the
     (unstable, discarded) values do past that point never feeds the result.
     """
@@ -274,27 +280,27 @@ def _pruefer_sweep(grid: _ShootGrid, xi: np.ndarray, x_stop: np.ndarray) -> np.n
     order = np.argsort(-freeze_at, kind="stable")
     steps = np.arange(int(freeze_at.max()) + 1)
     keep = np.searchsorted(-freeze_at[order], -steps, side="left").tolist()
-    xi2 = (xi * xi)[order]
-    theta = np.zeros_like(xi2)
-    frozen = np.empty_like(xi2)
+    shift = (xi * xi + 1.0)[order]
+    theta = np.zeros_like(shift)
+    frozen = np.empty_like(shift)
 
-    def f(q, th):
+    def f(g, th):
         s = np.sin(th)
-        c = np.cos(th)
-        return c * c + (q - xi2) * s * s
+        return 1.0 + g * s * s
 
-    n = len(xi2)
+    n = len(shift)
     for i, h, qa, qm, qb in zip(steps.tolist(), grid.hs.tolist(), grid.qa.tolist(),
                                 grid.qm.tolist(), grid.qb.tolist()):
-        k1 = f(qa, theta)
-        k2 = f(qm, theta + 0.5 * h * k1)
-        k3 = f(qm, theta + 0.5 * h * k2)
-        k4 = f(qb, theta + h * k3)
+        gm = qm - shift
+        k1 = f(qa - shift, theta)
+        k2 = f(gm, theta + 0.5 * h * k1)
+        k3 = f(gm, theta + 0.5 * h * k2)
+        k4 = f(qb - shift, theta + h * k3)
         theta = theta + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         m = keep[i]
         if m < n:
             frozen[m:n] = theta[m:]
-            theta, xi2, n = theta[:m], xi2[:m], m
+            theta, shift, n = theta[:m], shift[:m], m
     out = np.empty_like(frozen)
     out[order] = frozen
     return out
@@ -311,17 +317,19 @@ def _phase_count_fn(prob: _Problem, grid: _ShootGrid):
 # ----------------------------------------------------------------------
 # scalar two-sided machinery (the two legs, Wronskian mismatch, node counts)
 
-def _left_leg(prob: _Problem, xi: float, x_m: float, rtol: float,
-              count_nodes: bool = False):
-    """Integrate y'' = (xi^2 - om^2 Q) y and z' = y^2 from (0, 1, 0) at the
-    origin to x_m, one solve per breakpoint segment.
+def _left_leg(prob: _Problem, xi: float, x_m: float, count_nodes: bool = False):
+    """Integrate y'' = (xi^2 - om^2 Q) y from (0, 1) at the origin to x_m,
+    one solve per breakpoint segment.
 
-    Returns (y(x_m), y'(x_m), z(x_m), nodes); nodes counts the interior zeros
-    of y when count_nodes is set and is 0 otherwise.
+    Returns (y(x_m), y'(x_m), nodes); nodes counts the interior zeros of y
+    when count_nodes is set and is 0 otherwise.
     """
     om2 = prob.omega ** 2
     p = prob.p
 
+    # z' = y^2 rides along unread: it takes part in the step-size control,
+    # and without it xi moves by up to 5.5e-13 and the legs take up to 5%
+    # more RHS evaluations
     def rhs(x, y):
         return [y[1], (xi * xi - om2 * eval_potential(p, x, 0)) * y[0], y[0] * y[0]]
 
@@ -332,35 +340,33 @@ def _left_leg(prob: _Problem, xi: float, x_m: float, rtol: float,
     y = np.array([0.0, 1.0, 0.0])
     nodes = 0
     for a, b in zip(segs[:-1], segs[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=1e-14,
-                        events=node if count_nodes else None)
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=_MISMATCH_RTOL,
+                        atol=1e-14, events=node if count_nodes else None)
         y = sol.y[:, -1]
         if count_nodes:
             # the Dirichlet zero at x = 0 is not a node
             nodes += int(np.count_nonzero(sol.t_events[0] > 1e-9))
-    return float(y[0]), float(y[1]), float(y[2]), nodes
+    return float(y[0]), float(y[1]), nodes
 
 
-def _right_leg(prob: _Problem, xi: float, x_m: float, x_stop: float, u0: float,
-               rtol: float, dense: bool = False):
-    """Integrate the decaying solution's log-derivative u = y'/y (Riccati:
-    u' = xi^2 - om^2 Q - u^2) and L = int_{x_stop}^x u back from
-    u(x_stop) = u0 to x_m.
+def _right_leg(prob: _Problem, xi: float, x_m: float, x_stop: float) -> float:
+    """u(x_m) of the decaying solution's log-derivative u = y'/y (Riccati:
+    u' = xi^2 - om^2 Q - u^2), integrated back from u(x_stop) = -xi.
 
-    Returns (u(x_m), L(x_m), the dense solution or None).  With x_stop at or
-    before x_m nothing is integrated: (u0, 0, None).
+    With x_stop at or before x_m nothing is integrated and -xi is returned.
     """
     if x_stop <= x_m * (1 + 1e-12):
-        return u0, 0.0, None
+        return -xi
     om2 = prob.omega ** 2
     p = prob.p
 
-    def rhs(x, w):
-        return [xi * xi - om2 * eval_potential(p, x, 0) - w[0] * w[0], w[0]]
+    # L' = u rides along unread, for the step-size control (see _left_leg)
+    def rhs(x, u):
+        return [xi * xi - om2 * eval_potential(p, x, 0) - u[0] * u[0], u[0]]
 
-    sol = solve_ivp(rhs, (x_stop, x_m), [u0, 0.0], method="DOP853", rtol=rtol,
-                    atol=1e-14, dense_output=dense)
-    return float(sol.y[0, -1]), float(sol.y[1, -1]), sol.sol
+    sol = solve_ivp(rhs, (x_stop, x_m), [-xi, 0.0], method="DOP853",
+                    rtol=_MISMATCH_RTOL, atol=1e-14)
+    return float(sol.y[0, -1])
 
 
 def _mismatch(prob: _Problem, xi: float, with_nodes: bool = False):
@@ -371,8 +377,8 @@ def _mismatch(prob: _Problem, xi: float, with_nodes: bool = False):
     leg starts on y'/y = -xi at the truncation point.
     """
     x_m = prob.x_match(xi)
-    y, v, _, nodes = _left_leg(prob, xi, x_m, _MISMATCH_RTOL, with_nodes)
-    u_r = _right_leg(prob, xi, x_m, float(prob.x_stop(xi)), -xi, _MISMATCH_RTOL)[0]
+    y, v, nodes = _left_leg(prob, xi, x_m, with_nodes)
+    u_r = _right_leg(prob, xi, x_m, float(prob.x_stop(xi)))
     w = (v - u_r * y) / math.hypot(y, v)
     if with_nodes:
         # one extra zero of y_L beyond x_m exactly when the growing-branch
@@ -437,21 +443,18 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
     x_cap = float(prob.x_stop(min(xi_split, prob.xi_max / 4)))
     grid = prob.build_grid(x_cap)
     P = _phase_count_fn(prob, grid)
-    p_hi = float(P(np.array([prob.xi_max * (1 - 1e-13)]))[0])
-    if p_hi >= 0:
-        raise BracketError(
-            f"phase count does not close at xi_max: P={p_hi:.3g} (expected < 0)")
 
     targets = math.pi * np.arange(n_states)
+    top = prob.xi_max * (1 - 1e-13)
     lo = np.full(n_states, lo0)
-    hi = np.full(n_states, prob.xi_max * (1 - 1e-13))
+    hi = np.full(n_states, top)
     do_polish = opts.polish if opts.polish is not None else (omega <= 25)
     bisect_tol = max(opts.tol, 1e-7) if do_polish else opts.tol
     reach = grid.x_max * (1 + 1e-9)
     frac = np.arange(_KSECT + 1) / _KSECT
     cols = np.arange(_KSECT + 1)
     rows = np.arange(n_states)
-    for _ in range(200):
+    for sweep in range(200):
         # columns: lo, the K - 1 interior points, hi
         pts = lo[:, None] + (hi - lo)[:, None] * frac
         pts[:, -1] = hi
@@ -459,12 +462,18 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
         # scalar pass
         use = (prob.x_stop(pts) <= reach) & (hi - lo >= bisect_tol)[:, None]
         use[:, [0, -1]] = False
-        if not use.any():
+        if sweep and not use.any():
             break
         r, c = np.nonzero(use)
+        # the first sweep also checks that the phase count closes at xi_max
+        phase = P(np.append(pts[r, c], [top] if sweep == 0 else []))
+        if sweep == 0 and phase[-1] >= 0:
+            raise BracketError(
+                f"phase count does not close at xi_max: P={phase[-1]:.3g} "
+                f"(expected < 0)")
         above = np.zeros(pts.shape, dtype=bool)
         above[:, 0] = True
-        above[r, c] = P(pts[r, c]) > targets[r]
+        above[r, c] = phase[:len(r)] > targets[r]
         known = use.copy()
         known[:, [0, -1]] = True
         # new bracket: the first known point whose phase count is at or below
@@ -500,14 +509,14 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
             # polish bracket past that bias but never into a neighboring root
             pad = min(1e-4 * (1.0 + xi[i]), 0.2 * min_gap)
             a = max(lo0, xi[i] - pad)
-            b = min(prob.xi_max * (1 - 1e-13), xi[i] + pad)
+            b = min(top, xi[i] + pad)
             wa = _mismatch(prob, a)
             wb = _mismatch(prob, b)
             tries = 0
             while wa * wb > 0 and tries < 5:
                 pad = min(2 * pad, 0.45 * min_gap)
                 a = max(lo0, xi[i] - pad)
-                b = min(prob.xi_max * (1 - 1e-13), xi[i] + pad)
+                b = min(top, xi[i] + pad)
                 wa = _mismatch(prob, a)
                 wb = _mismatch(prob, b)
                 tries += 1
@@ -535,50 +544,101 @@ class StateProfile:
     mismatch: float
 
 
+def _vector_legs(rhs, start: np.ndarray, end: np.ndarray, w0: np.ndarray,
+                 cuts: Sequence = ()) -> np.ndarray:
+    """Integrate every state j from start[j] to end[j] in one solve_ivp vector.
+
+    All legs run the same way.  A state joins the vector at its start with
+    the values w0[j] and leaves it at its end; the solve restarts at every
+    start, end and cut point (cuts lie inside the legs' span).  rhs(idx)
+    returns the right-hand side of the states idx, whose vector holds
+    component k of state idx[i] at k * len(idx) + i.  Returns the
+    (states, components) values at the ends.
+    """
+    out = np.array(w0, dtype=float)
+    pts = np.unique(np.concatenate([start, end, cuts]))
+    if np.any(end < start):
+        pts = pts[::-1]
+    idx = np.empty(0, dtype=int)
+    for a, b in zip(pts[:-1], pts[1:]):
+        idx = np.concatenate([idx, np.flatnonzero(start == a)])
+        if idx.size:
+            sol = solve_ivp(rhs(idx), (a, b), out[idx].T.ravel(), method="DOP853",
+                            rtol=_PROFILE_RTOL, atol=1e-14)
+            out[idx] = sol.y[:, -1].reshape(-1, idx.size).T
+        idx = idx[end[idx] != b]
+    return out
+
+
 def _state_profiles(p: Potential, omega: float, xi: np.ndarray) -> list:
     """Normalization data per state: C_j, tail amplitude log s_j, diagnostics.
 
-    The state is matched across the turning point by the two scalar legs
-    (the left leg carries the norm integral to x_m; the right leg carries
-    the log-amplitude L back from the truncation), so deep states never
-    overflow; the normalization adds the analytic exponential tail beyond
-    the truncation.
+    Each state is matched across the turning point by two legs, and every
+    state's leg runs in one vector solve.  The left legs carry (y, y', z),
+    z the norm integral, from the origin to x_m.  The right legs carry
+    (u, L, R) back from the truncation point: the Riccati log-derivative
+    u = y'/y of the decaying solution, the log-amplitude L = int_{x_stop}^x u
+    and the tail norm R(x) = int_x^{x_stop} e^{2(L(t) - L(x))} dt through
+    R' = -1 - 2 u R, so R(x_m) is the norm integral of y / y(x_m) over
+    [x_m, x_stop].  Deep states never overflow, and the normalization adds
+    the analytic exponential tail beyond the truncation.
     """
     prob = _Problem(p, omega)
     om2 = omega * omega
-    out = []
-    for x in np.asarray(xi, dtype=float):
-        x_stop = float(prob.x_stop(x))
-        x_m = prob.x_match(x)
-        y_m, v_m, z_l, _ = _left_leg(prob, x, x_m, _PROFILE_RTOL)
-        u0 = -x
-        if p.support_end is None:
-            # amplitude extraction is first-order sensitive to the truncation
-            # boundary condition (no e-fold suppression, unlike the
-            # eigenvalue), so push the truncation to omega^2 Q <= 1e-4 xi^2
-            # and start the right leg on the WKB-corrected log-derivative
-            x_stop = max(x_stop, float(prob.x_plus(1e-2 * x)))
-            kap2 = x * x - om2 * eval_potential(p, x_stop, 0)
-            u0 = -math.sqrt(max(kap2, 0.25 * x * x))
-            if p.m_smoothness >= 1:
-                u0 += om2 * eval_potential(p, x_stop, 1) / (4.0 * kap2)
-        # L(x) = int_{x_stop}^{x} u ds grows positive toward x_m (the
-        # decaying branch is integrated against the orientation)
-        u_m, l_m, dense = _right_leg(prob, x, x_m, x_stop, u0, _PROFILE_RTOL, dense=True)
-        m_hat = 0.0
-        if dense is not None:
-            n_ts = int(min(30000, max(801, 60.0 * x * (x_stop - x_m))))
-            n_ts += n_ts % 2
-            ts = np.linspace(x_m, x_stop, n_ts + 1)
-            wts = simpson_weights(n_ts, ts[1] - ts[0])
-            m_hat = float(np.dot(wts, np.exp(2.0 * (dense(ts)[1] - l_m))))
-        tail = math.exp(-2.0 * l_m) / (2.0 * x)
-        norm2 = z_l + y_m * y_m * (m_hat + tail)
-        C = 1.0 / norm2
-        log_s = math.log(abs(y_m)) - l_m + x * x_stop - 0.5 * math.log(norm2)
-        mism = abs(v_m / y_m - u_m) if y_m != 0 else math.inf
-        out.append(StateProfile(float(x), C, log_s, x_m, x_stop, mism))
-    return out
+    xi = np.asarray(xi, dtype=float)
+    n = xi.size
+    if n == 0:
+        return []
+    x_m = np.array([prob.x_match(x) for x in xi])
+    x_stop = prob.x_stop(xi)
+    u0 = -xi
+    if p.support_end is None:
+        # amplitude extraction is first-order sensitive to the truncation
+        # boundary condition (no e-fold suppression, unlike the eigenvalue),
+        # so push the truncation to omega^2 Q <= 1e-4 xi^2 and start the
+        # right leg on the WKB-corrected log-derivative
+        x_stop = np.maximum(x_stop, prob.x_plus(1e-2 * xi))
+        kap2 = xi * xi - om2 * eval_potential(p, x_stop, 0)
+        u0 = -np.sqrt(np.maximum(kap2, 0.25 * xi * xi))
+        if p.m_smoothness >= 1:
+            u0 = u0 + om2 * eval_potential(p, x_stop, 1) / (4.0 * kap2)
+
+    def left(idx):
+        xi2, k = xi[idx] ** 2, idx.size
+
+        def rhs(x, w):
+            y = w[:k]
+            return np.concatenate([w[k:2 * k],
+                                   (xi2 - om2 * eval_potential(p, x, 0)) * y, y * y])
+        return rhs
+
+    def right(idx):
+        xi2, k = xi[idx] ** 2, idx.size
+
+        def rhs(x, w):
+            u, R = w[:k], w[2 * k:]
+            return np.concatenate([xi2 - om2 * eval_potential(p, x, 0) - u * u,
+                                   u, -1.0 - 2.0 * u * R])
+        return rhs
+
+    cuts = [b for b in p.breakpoints if 0 < b < x_m.max()]
+    y_m, v_m, z_l = _vector_legs(left, np.zeros(n), x_m,
+                                 np.tile([0.0, 1.0, 0.0], (n, 1)), cuts).T
+    # L(x) grows positive toward x_m (the decaying branch is integrated
+    # against the orientation); a truncation at or before x_m integrates
+    # nothing
+    w_r = np.column_stack([u0, np.zeros(n), np.zeros(n)])
+    run = x_stop > x_m * (1 + 1e-12)
+    if run.any():
+        w_r[run] = _vector_legs(right, x_stop[run], x_m[run], w_r[run])
+    u_m, l_m, m_hat = w_r.T
+    tail = np.exp(-2.0 * l_m) / (2.0 * xi)
+    norm2 = z_l + y_m * y_m * (m_hat + tail)
+    log_s = np.log(np.abs(y_m)) - l_m + xi * x_stop - 0.5 * np.log(norm2)
+    with np.errstate(divide="ignore"):
+        mism = np.where(y_m != 0, np.abs(v_m / y_m - u_m), np.inf)
+    return [StateProfile(*map(float, row))
+            for row in zip(xi, 1.0 / norm2, log_s, x_m, x_stop, mism)]
 
 
 def characteristic_values(p: Potential, omega: float, xi: Sequence) -> np.ndarray:

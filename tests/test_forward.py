@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from slspec.forward import (BracketError, ForwardError, SolverOptions,
                             SpectralData, calogero_bounds,
                             characteristic_values, count_above, count_states,
                             eigenvalues, forward, squarewell_oracle,
                             _state_profiles)
-from slspec.potentials import builtin, make_potential
+from slspec.potentials import builtin, eval_potential, make_potential
+from slspec.quadrature import simpson_weights
 
 # the module: the package attribute slspec.forward is the function
 fwd = importlib.import_module("slspec.forward")
@@ -160,8 +162,12 @@ def test_missing_decay_metadata_raises():
         calogero_bounds(bare, 10.0)
 
 
-def _sweep_step_loop(grid, xi, x_stop):
-    """The Pruefer sweep as a plain per-step loop over every state."""
+def _sweep_step_loop(grid, xi, x_stop, rhs="bracket"):
+    """The Pruefer sweep as a plain per-step loop over every state.
+
+    rhs="bracket" evaluates theta' as the sweep does, 1 + (q - xi^2 - 1) sin^2;
+    rhs="cos" as cos^2 + (q - xi^2) sin^2, the same function rounded otherwise.
+    """
     xi2 = xi * xi
     theta = np.zeros_like(xi)
     frozen = np.zeros_like(xi)
@@ -170,8 +176,10 @@ def _sweep_step_loop(grid, xi, x_stop):
 
     def f(q, th):
         s = np.sin(th)
-        c = np.cos(th)
-        return c * c + (q - xi2) * s * s
+        if rhs == "cos":
+            c = np.cos(th)
+            return c * c + (q - xi2) * s * s
+        return 1.0 + (q - (xi2 + 1.0)) * s * s
 
     for i in range(int(freeze_at.max()) + 1):
         h = grid.hs[i]
@@ -193,17 +201,35 @@ def test_pruefer_sweep_matches_step_loop(kind, omega):
     rng = np.random.default_rng(3)
     xi = np.concatenate([rng.uniform(0.05, prob.xi_max, 40), [0.05, 0.05]])
     x_stop = np.minimum(prob.x_stop(xi), grid.x_max)
-    assert np.array_equal(fwd._pruefer_sweep(grid, xi, x_stop),
-                          _sweep_step_loop(grid, xi, x_stop))
+    theta = fwd._pruefer_sweep(grid, xi, x_stop)
+    assert np.array_equal(theta, _sweep_step_loop(grid, xi, x_stop))
+    # the cos^2 form of the right-hand side differs by round-off only
+    assert np.max(np.abs(theta - _sweep_step_loop(grid, xi, x_stop, rhs="cos"))) <= 1e-13
+
+
+def test_phase_count_not_closing_raises(monkeypatch, sw):
+    # a phase count still at or above zero at xi_max means the count and the
+    # phase disagree; the first K-section sweep must report it
+    sweep = fwd._pruefer_sweep
+
+    def lifted(grid, xi, x_stop):
+        theta = sweep(grid, xi, x_stop)
+        return np.where(xi >= 0.999 * 10.0, theta + 2 * math.pi, theta)
+
+    monkeypatch.setattr(fwd, "_pruefer_sweep", lifted)
+    with pytest.raises(BracketError, match="phase count does not close"):
+        eigenvalues(sw, 10.0)
 
 
 # xi_j and C_j as the bisection search computed them before the search became
-# a K-section; the two may differ by the search tolerance only
+# a K-section; the two may differ by the search tolerance only.  The weakest
+# state's C on q1 is the K-section's, since its tail integral became an ODE
+# component (the Simpson rule it replaced was off by 3e-9 and 1e-8 relative)
 _RECORDED = {
     ("q1", 10.0): (
         [0.00835526596300303, 0.994103002398904, 2.889800726337032,
          5.281488915908835, 7.936122720831987],
-        [0.019032745733841058, 9.644293109876363, 38.91762504221155,
+        [0.01903274567420483, 9.644293109876363, 38.91762504221155,
          73.47101299013077, 86.933882270451]),
     ("q1", 40.0): (
         [0.000500189601117011, 0.2584017806129638, 0.8498554283301236,
@@ -213,7 +239,7 @@ _RECORDED = {
          19.161944320092758, 21.688045885771864, 24.276213505661666,
          26.91789580079098, 29.60594138675429, 32.334350016331825,
          35.09806703355427, 37.89281503693972],
-        [0.0010386247298380352, 2.820522903274545, 16.305763968185936,
+        [0.0010386247196032563, 2.820522903274545, 16.305763968185936,
          47.0263775878862, 98.93065948796112, 173.23471458315424,
          268.8316939211289, 382.91442430748197, 511.4069833827138,
          649.6248795061783, 792.3286951303752, 933.872845999577,
@@ -259,3 +285,51 @@ def test_polish_without_sign_change_warns(monkeypatch, sw):
     assert len(rec) == len(xi) == 3
     # the sweep's own discretization error, about 3e-6 here
     assert np.max(np.abs(xi - squarewell_oracle(10.0).xi)) < 1e-5
+
+
+@pytest.mark.parametrize("kind,omega", list(_RECORDED))
+def test_batched_profiles_match_per_state_profiles(kind, omega):
+    # every state's legs share one vector solve; a state's result must not
+    # depend on which other states ride along
+    p = builtin(kind)
+    xi = np.array(_RECORDED[kind, omega][0])
+    batched = _state_profiles(p, omega, xi)
+    for j, b in enumerate(batched):
+        s = _state_profiles(p, omega, xi[j:j + 1])[0]
+        assert abs(b.C / s.C - 1) <= 1e-9
+        assert abs(b.log_s - s.log_s) <= 1e-9
+
+
+def _weak_state_reference_C(p, omega, xi, x_m, x_stop):
+    """C of one state as the old profile path computed it, tightened: both
+    legs at rtol 1e-13 and the tail integral by Simpson on 600 points per
+    unit length of the right leg's dense solution."""
+    om2 = omega * omega
+
+    def Q(x):
+        return eval_potential(p, x, 0)
+
+    left = solve_ivp(lambda x, w: [w[1], (xi * xi - om2 * Q(x)) * w[0], w[0] * w[0]],
+                     (0.0, x_m), [0.0, 1.0, 0.0], method="DOP853", rtol=1e-13, atol=1e-14)
+    y_m, _, z_l = left.y[:, -1]
+    kap2 = xi * xi - om2 * Q(x_stop)
+    u0 = -math.sqrt(max(kap2, 0.25 * xi * xi)) + om2 * eval_potential(p, x_stop, 1) / (4.0 * kap2)
+    right = solve_ivp(lambda x, w: [xi * xi - om2 * Q(x) - w[0] * w[0], w[0]],
+                      (x_stop, x_m), [u0, 0.0], method="DOP853", rtol=1e-13, atol=1e-14,
+                      dense_output=True)
+    l_m = right.y[1, -1]
+    n = int(600 * (x_stop - x_m))
+    n += n % 2
+    ts = np.linspace(x_m, x_stop, n + 1)
+    m_hat = float(np.dot(simpson_weights(n, ts[1] - ts[0]),
+                         np.exp(2.0 * (right.sol(ts)[1] - l_m))))
+    return 1.0 / (z_l + y_m * y_m * (m_hat + math.exp(-2.0 * l_m) / (2.0 * xi)))
+
+
+def test_weakest_state_C_matches_fine_quadrature(q1):
+    # q1's weakest state at omega 10 has its tail on [41.5, 1597]; the tail
+    # integral must be resolved there (the 801-point Simpson rule gave 3.1e-9)
+    xi = np.array(_RECORDED["q1", 10.0][0])
+    prof = _state_profiles(q1, 10.0, xi)[0]
+    C_ref = _weak_state_reference_C(q1, 10.0, xi[0], prof.x_match, prof.x_stop)
+    assert abs(prof.C / C_ref - 1) <= 1e-9
