@@ -8,20 +8,21 @@ The solver uses the Pruefer phase representation so eigenvalue indices come
 from integer phase counts (no root can be missed): a vectorized fixed-grid
 RK4 sweep narrows every state's bracket at once, K-fold per sweep, by
 evaluating the phase count at K - 1 interior points of each bracket
-(K-section).  Near-threshold states,
-whose truncation domains are thousands of length units, are finished on a
-Wronskian-mismatch functional instead (the phase representation compresses
-their information exponentially, the mismatch keeps it well conditioned),
-and the same mismatch powers the high-accuracy polish at moderate omega.
+(K-section), down to a fixed width.  The sweep's roots carry its
+discretization bias, so every state is then finished on a Wronskian-mismatch
+functional, all states in one vectorized bracketing root-find (Chandrupatla's
+method).  Near-threshold states, whose truncation domains are thousands of
+length units, lie beyond the sweep's grid and start the root-find from the
+bracket the phase count isolates (the phase representation compresses their
+information exponentially, the mismatch keeps it well conditioned).
 
 Both the mismatch and the state profiles match two legs at a point past the
 turning point: the left leg integrates the linear equation from the origin,
 the right leg the Riccati equation of the decaying solution's log-derivative
-back from the truncation point.  The mismatch runs them as scalar solves,
-one state at a time.  The profiles run every state's legs in one vector
-solve, each state joining and leaving the vector at its own end points, and
-carry the norm integrals as ODE components: z' = y^2 on the left, and on the
-right R(x) = int_x^{x_stop} (y(t)/y(x))^2 dt through R' = -1 - 2 u R.
+back from the truncation point.  Every state's legs run in one vector solve,
+each state joining and leaving the vector at its own end points, and carry
+the norm integrals as ODE components: z' = y^2 on the left, and on the right
+R(x) = int_x^{x_stop} (y(t)/y(x))^2 dt through R' = -1 - 2 u R.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .potentials import Potential, eval_potential
 from .quadrature import integral_with_power_tail
@@ -51,15 +53,9 @@ class BracketError(ForwardError):
 
 @dataclass
 class SolverOptions:
-    """Settings of the eigenvalue search.
-
-    tol is the xi tolerance of the mismatch refinement.  polish turns the
-    mismatch polish of the sweep's states on or off; None turns it on for
-    omega <= 25.  Without the polish, xi carries the Pruefer sweep's
-    discretization bias (up to 4.8e-4 on q1 at omega 40), not tol.
-    """
+    """Settings of the eigenvalue search: tol is the xi tolerance of the
+    mismatch root-find that finishes every state."""
     tol: float = 1e-10
-    polish: Optional[bool] = None
 
 
 # Pruefer grid resolution: steps per radian of the local oscillation
@@ -144,6 +140,10 @@ def calogero_bounds(p: Potential, omega: float) -> tuple:
 # points of every open bracket cuts each bracket K-fold; sweep cost grows
 # slowly with the vector length, so K well above 2 pays
 _KSECT = 12
+# bracket width at which the K-section stops: well below the gaps, and the
+# sweep's discretization bias (5e-3 on q1 at omega 80) is left to the
+# mismatch root-find anyway
+_KSECT_WIDTH = 1e-5
 
 @dataclass
 class _ShootGrid:
@@ -204,18 +204,18 @@ class _Problem:
         base = self.x_plus(0.7 * xi)
         return np.minimum(base + _EFOLDS / np.maximum(xi, 1e-300), _X_INF_CAP)
 
-    def x_match(self, xi: float) -> float:
-        """Matching point for the two-sided solves: a little past the turning
-        point, capped at a few e-folds so the forward (unstable) leg stays
-        clean of growing-solution admixture."""
+    def x_match(self, xi):
+        """Matching point for the two-sided solves (vectorized): a little past
+        the turning point, capped at a few e-folds so the forward (unstable)
+        leg stays clean of growing-solution admixture."""
+        xi = np.asarray(xi, dtype=float)
         if self.p.support_end is not None:
-            return self.p.support_end
-        xp = float(self.x_plus(xi))
-        x_stop = float(self.x_stop(xi))
-        if xp <= 0:
-            return min(1.0, x_stop)
-        pad = min(max(0.5, 0.2 * xp), 4.0 / xi)
-        return min(xp + pad, 0.5 * (xp + x_stop))
+            return np.full_like(xi, self.p.support_end)
+        xp = self.x_plus(xi)
+        x_stop = self.x_stop(xi)
+        pad = np.minimum(np.maximum(0.5, 0.2 * xp), 4.0 / xi)
+        return np.where(xp <= 0, np.minimum(1.0, x_stop),
+                        np.minimum(xp + pad, 0.5 * (xp + x_stop)))
 
     def build_grid(self, x_max: float) -> _ShootGrid:
         om2 = self.omega ** 2
@@ -315,75 +315,104 @@ def _phase_count_fn(prob: _Problem, grid: _ShootGrid):
 
 
 # ----------------------------------------------------------------------
-# scalar two-sided machinery (the two legs, Wronskian mismatch, node counts)
+# two-sided machinery (the two legs, Wronskian mismatch, node counts)
 
-def _left_leg(prob: _Problem, xi: float, x_m: float, count_nodes: bool = False):
-    """Integrate y'' = (xi^2 - om^2 Q) y from (0, 1) at the origin to x_m,
-    one solve per breakpoint segment.
+def _vector_legs(rhs, start: np.ndarray, end: np.ndarray, w0: np.ndarray,
+                 cuts: Sequence = (), rtol: float = _PROFILE_RTOL) -> tuple:
+    """Integrate every state j from start[j] to end[j] in one solve_ivp vector.
 
-    Returns (y(x_m), y'(x_m), nodes); nodes counts the interior zeros of y
-    when count_nodes is set and is 0 otherwise.
+    All legs run the same way.  A state joins the vector at its start with
+    the values w0[j] and leaves it at its end; the solve restarts at every
+    start, end and cut point (cuts lie inside the legs' span).  rhs(idx)
+    returns the right-hand side of the states idx, whose vector holds
+    component k of state idx[i] at k * len(idx) + i.  Returns the
+    (states, components) values at the ends, and per state the number of
+    sign changes of component 0 between accepted steps (the same step end
+    points that solve_ivp's event detection compares).
     """
-    om2 = prob.omega ** 2
-    p = prob.p
-
-    # z' = y^2 rides along unread: it takes part in the step-size control,
-    # and without it xi moves by up to 5.5e-13 and the legs take up to 5%
-    # more RHS evaluations
-    def rhs(x, y):
-        return [y[1], (xi * xi - om2 * eval_potential(p, x, 0)) * y[0], y[0] * y[0]]
-
-    def node(x, y):
-        return y[0]
-
-    segs = [0.0] + [b for b in p.breakpoints if 0 < b < x_m] + [x_m]
-    y = np.array([0.0, 1.0, 0.0])
-    nodes = 0
-    for a, b in zip(segs[:-1], segs[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=_MISMATCH_RTOL,
-                        atol=1e-14, events=node if count_nodes else None)
-        y = sol.y[:, -1]
-        if count_nodes:
-            # the Dirichlet zero at x = 0 is not a node
-            nodes += int(np.count_nonzero(sol.t_events[0] > 1e-9))
-    return float(y[0]), float(y[1]), nodes
+    out = np.array(w0, dtype=float)
+    signs = np.zeros(len(out), dtype=int)
+    pts = np.unique(np.concatenate([start, end, cuts]))
+    if np.any(end < start):
+        pts = pts[::-1]
+    idx = np.empty(0, dtype=int)
+    for a, b in zip(pts[:-1], pts[1:]):
+        idx = np.concatenate([idx, np.flatnonzero(start == a)])
+        if idx.size:
+            sol = solve_ivp(rhs(idx), (a, b), out[idx].T.ravel(), method="DOP853",
+                            rtol=rtol, atol=1e-14)
+            out[idx] = sol.y[:, -1].reshape(-1, idx.size).T
+            y = sol.y[:idx.size]
+            signs[idx] += np.count_nonzero(y[:, :-1] * y[:, 1:] < 0, axis=1)
+        idx = idx[end[idx] != b]
+    return out, signs
 
 
-def _right_leg(prob: _Problem, xi: float, x_m: float, x_stop: float) -> float:
-    """u(x_m) of the decaying solution's log-derivative u = y'/y (Riccati:
-    u' = xi^2 - om^2 Q - u^2), integrated back from u(x_stop) = -xi.
+def _left_rhs(p: Potential, om2: float, xi: np.ndarray):
+    """rhs(idx) factory of the left legs (y, y', z): y'' = (xi^2 - om^2 Q) y
+    and the norm integral z' = y^2."""
+    def make(idx):
+        xi2, k = xi[idx] ** 2, idx.size
 
-    With x_stop at or before x_m nothing is integrated and -xi is returned.
-    """
-    if x_stop <= x_m * (1 + 1e-12):
-        return -xi
-    om2 = prob.omega ** 2
-    p = prob.p
-
-    # L' = u rides along unread, for the step-size control (see _left_leg)
-    def rhs(x, u):
-        return [xi * xi - om2 * eval_potential(p, x, 0) - u[0] * u[0], u[0]]
-
-    sol = solve_ivp(rhs, (x_stop, x_m), [-xi, 0.0], method="DOP853",
-                    rtol=_MISMATCH_RTOL, atol=1e-14)
-    return float(sol.y[0, -1])
+        def rhs(x, w):
+            y = w[:k]
+            return np.concatenate([w[k:2 * k],
+                                   (xi2 - om2 * eval_potential(p, x, 0)) * y, y * y])
+        return rhs
+    return make
 
 
-def _mismatch(prob: _Problem, xi: float, with_nodes: bool = False):
-    """Matching residual W(xi) = y_L'(x_m) - u_R(x_m) y_L(x_m), normalized.
+def _right_rhs(p: Potential, om2: float, xi: np.ndarray):
+    """rhs(idx) factory of the right legs (u, L, R): the Riccati
+    log-derivative u' = xi^2 - om^2 Q - u^2, the log-amplitude L' = u and
+    the tail norm R' = -1 - 2 u R."""
+    def make(idx):
+        xi2, k = xi[idx] ** 2, idx.size
+
+        def rhs(x, w):
+            u, R = w[:k], w[2 * k:]
+            return np.concatenate([xi2 - om2 * eval_potential(p, x, 0) - u * u,
+                                   u, -1.0 - 2.0 * u * R])
+        return rhs
+    return make
+
+
+def _mismatch(prob: _Problem, xi, with_nodes: bool = False):
+    """Matching residual W(xi) = y_L'(x_m) - u_R(x_m) y_L(x_m) for a scalar
+    or an array of xi (every state's legs in one vector solve).
 
     Zero exactly at eigenvalues; its sign together with the node count of
     y_L below x_m gives the exact number of eigenvalues above xi.  The right
-    leg starts on y'/y = -xi at the truncation point.
+    leg starts on y'/y = -xi at the truncation point; a truncation at or
+    before x_m integrates nothing.  W is left unnormalized: with the left leg
+    started on (y, y') = (0, 1) it is proportional to the growing-branch
+    coefficient of y_L, so nearly linear in xi, and the root-find's
+    interpolation steps converge fast.  (Around q1's xi_j = 16.7 at omega
+    40, W / (xi - xi_j) stays within 4e-4 relative for |xi - xi_j| <= 0.018;
+    W / |(y_L, y_L')| changes it sixfold.)
     """
-    x_m = prob.x_match(xi)
-    y, v, nodes = _left_leg(prob, xi, x_m, with_nodes)
-    u_r = _right_leg(prob, xi, x_m, float(prob.x_stop(xi)))
-    w = (v - u_r * y) / math.hypot(y, v)
+    xi = np.asarray(xi, dtype=float)
+    flat = xi.ravel()
+    n = flat.size
+    om2 = prob.omega ** 2
+    x_m = prob.x_match(flat)
+    x_stop = prob.x_stop(flat)
+    cuts = [b for b in prob.p.breakpoints if 0 < b < x_m.max()]
+    w_l, nodes = _vector_legs(_left_rhs(prob.p, om2, flat), np.zeros(n), x_m,
+                              np.tile([0.0, 1.0, 0.0], (n, 1)), cuts, _MISMATCH_RTOL)
+    y, v = w_l[:, 0], w_l[:, 1]
+    u = -flat
+    run = x_stop > x_m * (1 + 1e-12)
+    if run.any():
+        w_r = np.column_stack([u[run], np.zeros((run.sum(), 2))])
+        u[run] = _vector_legs(_right_rhs(prob.p, om2, flat[run]), x_stop[run],
+                              x_m[run], w_r, rtol=_MISMATCH_RTOL)[0][:, 0]
+    w = (v - u * y).reshape(xi.shape)
     if with_nodes:
         # one extra zero of y_L beyond x_m exactly when the growing-branch
-        # coefficient (proportional to w) opposes the local sign of y
-        return w, nodes + (1 if w * y < 0 else 0)
+        # coefficient (proportional to w) opposes the local sign of y; the
+        # Dirichlet zero at x = 0 is no sign change, so it is not counted
+        return w, (nodes + (w.ravel() * y < 0)).reshape(xi.shape)
     return w
 
 
@@ -391,7 +420,7 @@ def count_above(p: Potential, omega: float, xi_star: float, _prob=None) -> int:
     """Exact number of eigenvalues with xi > xi_star (Sturm oscillation)."""
     prob = _prob or _Problem(p, omega)
     _, n = _mismatch(prob, xi_star, with_nodes=True)
-    return n
+    return int(n)
 
 
 def count_states(p: Potential, omega: float, _prob=None) -> int:
@@ -417,11 +446,13 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
     Oscillation counting isolates each index; K-section on the Pruefer phase
     (one vectorized sweep over the _KSECT - 1 interior points of every open
     bracket per pass, each bracket narrowed to the adjacent pair of points
-    that straddles its target count) handles every state whose truncation
-    fits the common grid; near-threshold states are finished on the Wronskian
-    mismatch; for moderate omega the mismatch polish brings everything to
-    opts.tol.  A polish that finds no sign change keeps the sweep value and
-    says so with a RuntimeWarning.
+    that straddles its target count) narrows every state whose truncation
+    fits the common grid to _KSECT_WIDTH.  One vectorized root-find of the
+    Wronskian mismatch then brings every state to opts.tol: a swept state
+    from its sweep bracket, padded past the sweep's discretization bias, and
+    a near-threshold state from the bracket the phase count isolates.  A
+    swept state whose padded bracket never shows a sign change keeps its
+    sweep midpoint and says so with a RuntimeWarning.
     """
     opts = opts or SolverOptions()
     if not (math.isfinite(omega) and omega > 0):
@@ -438,7 +469,8 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
             f"weakest of {n_states} states lies below the resolvable floor "
             f"xi = {lo0:.3g}")
 
-    # vector grid serves states down to xi_split; weaker ones go scalar
+    # vector grid serves states down to xi_split; weaker ones start the
+    # mismatch root-find from the bracket the phase count isolates
     xi_split = max(_EFOLDS / 600.0, 1.2 * lo0)
     x_cap = float(prob.x_stop(min(xi_split, prob.xi_max / 4)))
     grid = prob.build_grid(x_cap)
@@ -448,8 +480,6 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
     top = prob.xi_max * (1 - 1e-13)
     lo = np.full(n_states, lo0)
     hi = np.full(n_states, top)
-    do_polish = opts.polish if opts.polish is not None else (omega <= 25)
-    bisect_tol = max(opts.tol, 1e-7) if do_polish else opts.tol
     reach = grid.x_max * (1 + 1e-9)
     frac = np.arange(_KSECT + 1) / _KSECT
     cols = np.arange(_KSECT + 1)
@@ -459,8 +489,8 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
         pts = lo[:, None] + (hi - lo)[:, None] * frac
         pts[:, -1] = hi
         # interior points below the vector grid's reach are left to the
-        # scalar pass
-        use = (prob.x_stop(pts) <= reach) & (hi - lo >= bisect_tol)[:, None]
+        # mismatch
+        use = (prob.x_stop(pts) <= reach) & (hi - lo >= _KSECT_WIDTH)[:, None]
         use[:, [0, -1]] = False
         if sweep and not use.any():
             break
@@ -483,54 +513,44 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
         lo, hi = pts[rows, last], pts[rows, first]
     xi = 0.5 * (lo + hi)
 
-    # scalar mismatch refinement for states the vector grid could not reach
-    refined = np.zeros(n_states, dtype=bool)
-    for i in range(n_states):
-        if prob.x_stop(xi[i]) <= reach and hi[i] - lo[i] < 2 * bisect_tol:
-            continue
-        a, b = lo[i], hi[i]
-        wa = _mismatch(prob, a)
-        wb = _mismatch(prob, b)
-        if wa * wb > 0:
+    # one bracket per state: a swept state's sweep bracket, padded past the
+    # sweep's bias but never into a neighboring root, or the isolating
+    # bracket of a state beyond the grid's reach.  Brackets without a sign
+    # change widen (swept) or fail (unreached); the rest are done.
+    swept = (prob.x_stop(xi) <= reach) & (hi - lo < 2 * _KSECT_WIDTH)
+    srt = np.sort(xi)
+    min_gap = float(np.diff(srt).min()) if n_states > 1 else float(srt[0])
+    pad = np.minimum(1e-3 * (1.0 + xi), 0.2 * min_gap)
+    tolerances = dict(xatol=1e-14, xrtol=1e-2 * opts.tol, fatol=0.0, frtol=0.0)
+    todo = np.arange(n_states)
+    for _ in range(6):
+        a = np.where(swept, np.maximum(lo0, xi - pad), lo)[todo]
+        b = np.where(swept, np.minimum(top, xi + pad), hi)[todo]
+        res = find_root(lambda t: _mismatch(prob, t), (a, b), tolerances=tolerances)
+        if np.any(res.status < -1):
+            raise ForwardError(f"mismatch root-find failed with status "
+                               f"{res.status.min()} for states {todo[res.status < -1]}")
+        done = res.status == 0
+        xi[todo[done]] = res.x[done]
+        fail = ~done & ~swept[todo]
+        if fail.any():
+            k = int(np.argmax(fail))
+            wa, wb = (f[k] for f in res.f_bracket)
             raise BracketError(
-                f"mismatch bracket failed for state with node count {i} on "
-                f"[{a:.3g}, {b:.3g}]: W = ({wa:.3g}, {wb:.3g})")
-        xi[i] = brentq(lambda t: _mismatch(prob, t), a, b,
-                       xtol=max(opts.tol * max(1.0, xi[i]), 1e-14), rtol=1e-15)
-        refined[i] = True
-
-    if do_polish:
-        srt = np.sort(xi)
-        min_gap = float(np.diff(srt).min()) if n_states > 1 else float(srt[0])
-        for i in range(n_states):
-            if refined[i]:
-                continue
-            # the sweep root can be biased by phase discretization; expand the
-            # polish bracket past that bias but never into a neighboring root
-            pad = min(1e-4 * (1.0 + xi[i]), 0.2 * min_gap)
-            a = max(lo0, xi[i] - pad)
-            b = min(top, xi[i] + pad)
-            wa = _mismatch(prob, a)
-            wb = _mismatch(prob, b)
-            tries = 0
-            while wa * wb > 0 and tries < 5:
-                pad = min(2 * pad, 0.45 * min_gap)
-                a = max(lo0, xi[i] - pad)
-                b = min(top, xi[i] + pad)
-                wa = _mismatch(prob, a)
-                wb = _mismatch(prob, b)
-                tries += 1
-            if wa * wb <= 0:
-                xi[i] = brentq(lambda t: _mismatch(prob, t), a, b,
-                               xtol=opts.tol, rtol=1e-15)
-            else:
-                warnings.warn(
-                    f"polish found no sign change of the mismatch for the state "
-                    f"with node count {i} on [{a:.17g}, {b:.17g}]; xi keeps the "
-                    f"midpoint of the sweep bracket [{lo[i]:.17g}, {hi[i]:.17g}] "
-                    f"(width {hi[i] - lo[i]:.3g}), accurate only to the phase "
-                    f"sweep's discretization, not to tol = {opts.tol:.3g}",
-                    RuntimeWarning, stacklevel=2)
+                f"mismatch bracket failed for state with node count {todo[k]} on "
+                f"[{a[k]:.3g}, {b[k]:.3g}]: W = ({wa:.3g}, {wb:.3g})")
+        todo, a, b = todo[~done], a[~done], b[~done]
+        if not todo.size:
+            break
+        pad[todo] = np.minimum(2 * pad[todo], 0.45 * min_gap)
+    for i, ai, bi in zip(todo, a, b):
+        warnings.warn(
+            f"the mismatch shows no sign change for the state with node count "
+            f"{i} on [{ai:.17g}, {bi:.17g}]; xi keeps the midpoint of the "
+            f"sweep bracket [{lo[i]:.17g}, {hi[i]:.17g}] (width "
+            f"{hi[i] - lo[i]:.3g}), accurate only to the phase sweep's "
+            f"discretization, not to tol = {opts.tol:.3g}",
+            RuntimeWarning, stacklevel=2)
     return np.sort(xi)
 
 
@@ -542,32 +562,6 @@ class StateProfile:
     x_match: float
     x_stop: float
     mismatch: float
-
-
-def _vector_legs(rhs, start: np.ndarray, end: np.ndarray, w0: np.ndarray,
-                 cuts: Sequence = ()) -> np.ndarray:
-    """Integrate every state j from start[j] to end[j] in one solve_ivp vector.
-
-    All legs run the same way.  A state joins the vector at its start with
-    the values w0[j] and leaves it at its end; the solve restarts at every
-    start, end and cut point (cuts lie inside the legs' span).  rhs(idx)
-    returns the right-hand side of the states idx, whose vector holds
-    component k of state idx[i] at k * len(idx) + i.  Returns the
-    (states, components) values at the ends.
-    """
-    out = np.array(w0, dtype=float)
-    pts = np.unique(np.concatenate([start, end, cuts]))
-    if np.any(end < start):
-        pts = pts[::-1]
-    idx = np.empty(0, dtype=int)
-    for a, b in zip(pts[:-1], pts[1:]):
-        idx = np.concatenate([idx, np.flatnonzero(start == a)])
-        if idx.size:
-            sol = solve_ivp(rhs(idx), (a, b), out[idx].T.ravel(), method="DOP853",
-                            rtol=_PROFILE_RTOL, atol=1e-14)
-            out[idx] = sol.y[:, -1].reshape(-1, idx.size).T
-        idx = idx[end[idx] != b]
-    return out
 
 
 def _state_profiles(p: Potential, omega: float, xi: np.ndarray) -> list:
@@ -589,7 +583,7 @@ def _state_profiles(p: Potential, omega: float, xi: np.ndarray) -> list:
     n = xi.size
     if n == 0:
         return []
-    x_m = np.array([prob.x_match(x) for x in xi])
+    x_m = prob.x_match(xi)
     x_stop = prob.x_stop(xi)
     u0 = -xi
     if p.support_end is None:
@@ -603,34 +597,17 @@ def _state_profiles(p: Potential, omega: float, xi: np.ndarray) -> list:
         if p.m_smoothness >= 1:
             u0 = u0 + om2 * eval_potential(p, x_stop, 1) / (4.0 * kap2)
 
-    def left(idx):
-        xi2, k = xi[idx] ** 2, idx.size
-
-        def rhs(x, w):
-            y = w[:k]
-            return np.concatenate([w[k:2 * k],
-                                   (xi2 - om2 * eval_potential(p, x, 0)) * y, y * y])
-        return rhs
-
-    def right(idx):
-        xi2, k = xi[idx] ** 2, idx.size
-
-        def rhs(x, w):
-            u, R = w[:k], w[2 * k:]
-            return np.concatenate([xi2 - om2 * eval_potential(p, x, 0) - u * u,
-                                   u, -1.0 - 2.0 * u * R])
-        return rhs
-
     cuts = [b for b in p.breakpoints if 0 < b < x_m.max()]
-    y_m, v_m, z_l = _vector_legs(left, np.zeros(n), x_m,
-                                 np.tile([0.0, 1.0, 0.0], (n, 1)), cuts).T
+    y_m, v_m, z_l = _vector_legs(_left_rhs(p, om2, xi), np.zeros(n), x_m,
+                                 np.tile([0.0, 1.0, 0.0], (n, 1)), cuts)[0].T
     # L(x) grows positive toward x_m (the decaying branch is integrated
     # against the orientation); a truncation at or before x_m integrates
     # nothing
     w_r = np.column_stack([u0, np.zeros(n), np.zeros(n)])
     run = x_stop > x_m * (1 + 1e-12)
     if run.any():
-        w_r[run] = _vector_legs(right, x_stop[run], x_m[run], w_r[run])
+        w_r[run] = _vector_legs(_right_rhs(p, om2, xi[run]), x_stop[run], x_m[run],
+                                w_r[run])[0]
     u_m, l_m, m_hat = w_r.T
     tail = np.exp(-2.0 * l_m) / (2.0 * xi)
     norm2 = z_l + y_m * y_m * (m_hat + tail)

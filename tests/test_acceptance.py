@@ -37,7 +37,7 @@ from slspec import (SolverOptions, calogero_bounds, characteristic_values,
                     phi_diag_derivative, reconstruct_gl0, reconstruct_glm,
                     solve_kernel, squarewell_oracle, vitushkin_c_inf,
                     vitushkin_c_l1, wkb_spectrum)
-from slspec.forward import SpectralData
+from slspec.forward import SpectralData, _mismatch, _Problem
 from slspec.reconstruct import _rank_one_logdet, build_W
 
 
@@ -157,6 +157,18 @@ def test_criterion_2c_gaps_and_characteristic_bracket(q1_sweep):
     _report("2c gap floor + characteristic bracket", ok,
             "; ".join(detail) + f" [{time.time()-t0:.1f}s]")
     assert ok
+
+
+def test_q1_xi_resolved_to_tol_above_omega_25(q1, q1_sweep):
+    # every returned xi lies within 2 tol of a root of the Wronskian mismatch;
+    # the Pruefer sweep's own roots are off by up to 4.8e-4 at omega 40 and
+    # 5.0e-3 at omega 80
+    tol = SolverOptions().tol
+    for om in (40.0, 80.0):
+        xi = q1_sweep[om].xi
+        w_lo, w_hi = np.split(_mismatch(_Problem(q1, om),
+                                        np.concatenate([xi - 2 * tol, xi + 2 * tol])), 2)
+        assert np.all(w_lo * w_hi <= 0), (om, np.flatnonzero(w_lo * w_hi > 0))
 
 
 def test_criterion_3_jost_identity(q1, q1_sweep):

@@ -221,10 +221,13 @@ def test_phase_count_not_closing_raises(monkeypatch, sw):
         eigenvalues(sw, 10.0)
 
 
-# xi_j and C_j as the bisection search computed them before the search became
-# a K-section; the two may differ by the search tolerance only.  The weakest
-# state's C on q1 is the K-section's, since its tail integral became an ODE
-# component (the Simpson rule it replaced was off by 3e-9 and 1e-8 relative)
+# xi_j and C_j of earlier solvers; the solver may differ from them by the
+# search tolerance only.  q1 at omega 10 and the square well are the bisection
+# search's, before it became a K-section; the weakest state's C on q1 at
+# omega 10 is the one computed since its tail integral became an ODE component
+# (the Simpson rule it replaced was off by 3e-9 relative).  q1 at omega 40 is
+# the per-state brentq polish of the mismatch and the C of those xi: the
+# sweep's own roots there are off by up to 4.8e-4
 _RECORDED = {
     ("q1", 10.0): (
         [0.00835526596300303, 0.994103002398904, 2.889800726337032,
@@ -232,20 +235,20 @@ _RECORDED = {
         [0.01903274567420483, 9.644293109876363, 38.91762504221155,
          73.47101299013077, 86.933882270451]),
     ("q1", 40.0): (
-        [0.000500189601117011, 0.2584017806129638, 0.8498554283301236,
-         1.754016046364974, 2.9430650112162935, 4.385279998773145,
-         6.048259388467461, 7.9012038637408715, 9.916291479472193,
-         12.0691633118179, 14.338985926087837, 16.70815814759539,
-         19.161944320092758, 21.688045885771864, 24.276213505661666,
-         26.91789580079098, 29.60594138675429, 32.334350016331825,
-         35.09806703355427, 37.89281503693972],
-        [0.0010386247196032563, 2.820522903274545, 16.305763968185936,
-         47.0263775878862, 98.93065948796112, 173.23471458315424,
-         268.8316939211289, 382.91442430748197, 511.4069833827138,
-         649.6248795061783, 792.3286951303752, 933.872845999577,
-         1068.128331067426, 1188.2961823744226, 1286.5151884110765,
-         1353.1664567742284, 1375.5314444136413, 1334.8611585983597,
-         1198.5265321119568, 889.9302467633164]),
+        [0.000500189601397751, 0.25853394003607766, 0.850087188218203,
+         1.7543358852180488, 2.9434631956797515, 4.385733081522592,
+         6.048733023944982, 7.9016795587310185, 9.916738972325604,
+         12.069565386893789, 14.33932335885839, 16.708424504693056,
+         19.162138493346283, 21.688175393224057, 24.276290656020734,
+         26.91793530636008, 29.605957673567644, 32.33435475752474,
+         35.098067735866756, 37.89281504728527],
+        [0.0010386247196038396, 2.8162827627068463, 16.280736981325646,
+         46.9561421071014, 98.78822198458647, 173.0021634731194,
+         268.5022663126809, 382.46977144144444, 510.92504057561564,
+         649.1408919892093, 791.8830633885182, 933.4933828066878,
+         1067.8339034411883, 1188.089878564978, 1286.387664708846,
+         1353.0995694539229, 1375.5036039283332, 1334.853099081741,
+         1198.5253873217248, 889.9302345455619]),
     ("square_well", 20.0): (
         [9.202826053122482, 13.37505563384512, 16.054193980638903,
          17.8805520445714, 19.085198945706026, 19.775014245432626],
@@ -279,9 +282,10 @@ def test_ksection_matches_recorded_values_in_few_sweeps(monkeypatch, kind, omega
 def test_polish_without_sign_change_warns(monkeypatch, sw):
     # a mismatch that never changes sign leaves every state at its sweep
     # value; that loss of digits must be reported, not silent
-    monkeypatch.setattr(fwd, "_mismatch", lambda prob, xi, with_nodes=False: 1.0)
+    monkeypatch.setattr(fwd, "_mismatch",
+                        lambda prob, xi, with_nodes=False: np.ones(np.shape(xi)))
     with pytest.warns(RuntimeWarning, match=r"node count \d+ on \[.*width") as rec:
-        xi = eigenvalues(sw, 10.0, SolverOptions(polish=True))
+        xi = eigenvalues(sw, 10.0)
     assert len(rec) == len(xi) == 3
     # the sweep's own discretization error, about 3e-6 here
     assert np.max(np.abs(xi - squarewell_oracle(10.0).xi)) < 1e-5
