@@ -160,6 +160,8 @@ class _Problem:
     """Turning-point table, truncation rule, and grids for one (Q, omega)."""
 
     def __init__(self, p: Potential, omega: float):
+        if p.support_end is None and p.decay is None:
+            raise ForwardError("decay metadata missing: truncation rule undetermined")
         self.p = p
         self.omega = omega
         self.sq0 = math.sqrt(p.q0)

@@ -1,4 +1,4 @@
-"""Jost function by one triangular solve, and the norming identity.
+"""Jost function by one inward march, and the norming identity.
 
 The Jost solution behaves like e^{ikx} at infinity; its value at the origin
 F(k) = f(k, 0) vanishes exactly at k = i xi_j.  It solves the Volterra
@@ -8,8 +8,9 @@ equation
 
 with V = -omega^2 Q, here in the gauged variable g = f e^{-ikx}, whose
 kernel (e^{2ik(t-x)} - 1)/(2ik) stays bounded for Im k >= 0.  On the grid,
-the Nystrom matrix M of that equation is strictly upper triangular, so
-(I - M) g = 1 is one back-substitution.
+g at a node depends only on g at the nodes to its right, so g is marched
+inward from g = 1 at the last node, one row at a time in O(m) memory
+(Linz, Analytical and Numerical Methods for Volterra Equations, 1985).
 
 Note the integral-equation kernel is sin(k(t-x))/k: with the opposite sign
 the equation's solution has zeros that are NOT the eigenvalues (checked
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .forward import SolverOptions, _state_profiles
 from .potentials import Potential, eval_potential
@@ -56,6 +56,8 @@ def _jost_grid(p: Potential, omega: float, k: complex, tol: float) -> np.ndarray
         X = p.support_end
         h = min(0.05, 0.1 / max(1.0, kk))
         return np.linspace(0.0, X, max(16, int(math.ceil(X / h))) + 1)
+    if p.decay is None:
+        raise JostError("decay metadata missing: grid truncation undetermined")
     d = p.decay
     om2 = omega * omega
     # tail of int min(t, 1/|k|) |V|:  om^2 a / ((k2-1) |k| X^(k2-1))
@@ -80,41 +82,15 @@ def _jost_grid(p: Potential, omega: float, k: complex, tol: float) -> np.ndarray
     return g
 
 
-def _row_weights(grid: np.ndarray) -> np.ndarray:
-    """w[i, j]: Simpson-type weights for int over [x_i, X] on grid nodes.
-
-    Composite Simpson (3/8-closed for odd counts) on each uniform run of the
-    blocked grid.  Row i covers its partial run [i, r] and then the whole
-    runs after r, whose weights are row r itself: the rows are filled right
-    to left, so that row is done when row i needs it.
-    """
-    m = len(grid)
-    steps = np.diff(grid)
-    runs = []
-    j = 0
-    while j < m - 1:
-        r = j + 1
-        while r < m - 1 and abs(steps[r] - steps[j]) < 1e-12 * max(1.0, steps[j]):
-            r += 1
-        runs.append((j, r))
-        j = r
-    W = np.zeros((m, m))
-    tail = np.zeros(1)                # int over [X, X]
-    for j, r in reversed(runs):
-        for i in range(j, r):
-            W[i, i : r + 1] = simpson_weights(r - i, steps[i])
-            W[i, r:] += tail
-        tail = W[j, j:]
-    return W
-
-
 def jost(p: Potential, omega: float, k: complex, tol: float = 1e-10,
          _grid: Optional[np.ndarray] = None) -> JostSample:
     """F(k) = f(k, 0) for Im k >= 0 from the gauged Volterra equation.
 
     Block-Simpson Nystrom on the grid of _jost_grid, whose tail is cut where
-    the kernel's tail bound falls below tol; (I - M) g = 1 is solved by one
-    back-substitution.
+    the kernel's tail bound falls below tol, marched inward from g = 1 at the
+    last node.  Row i's weights are composite Simpson (3/8-closed for odd
+    counts) on its partial uniform run [i, r], plus the saved weights of row
+    r, which starts the run to its right.
     """
     k = complex(k)
     if k.imag < -1e-15:
@@ -125,21 +101,30 @@ def jost(p: Potential, omega: float, k: complex, tol: float = 1e-10,
     # piece exactly
     x = grid if p.support_end is None else np.minimum(grid, p.support_end - 1e-12)
     V = -omega * omega * eval_potential(p, x, 0)
-
-    dx = grid[None, :] - grid[:, None]
-    np.maximum(dx, 0.0, out=dx)         # t - x above the diagonal, 0 elsewhere
-    if abs(k) < 1e-12:
-        A = dx.astype(complex)
-    else:
-        A = np.multiply(2j * k, dx)
-        np.exp(A, out=A)
-        A -= 1.0
-        A /= 2j * k
-    del dx
-    # above the diagonal I - M = -M, with M = weights * kernel * V
-    A *= _row_weights(grid)
-    A *= -V
-    g = solve_triangular(A, np.ones(len(grid)), unit_diagonal=True)
+    m = len(grid)
+    steps = np.diff(grid)
+    # uniform runs (j, r) of the blocked grid, left to right
+    runs = []
+    j = 0
+    while j < m - 1:
+        r = j + 1
+        while r < m - 1 and abs(steps[r] - steps[j]) < 1e-12 * max(1.0, steps[j]):
+            r += 1
+        runs.append((j, r))
+        j = r
+    g = np.ones(m, dtype=complex)
+    Vg = V * g                          # V_j g_j, filled in as g_j is found
+    tail = np.zeros(1)                  # weights of the row starting the next run
+    for j, r in reversed(runs):
+        for i in range(r - 1, j - 1, -1):
+            w = np.zeros(m - i)
+            w[: r - i + 1] = simpson_weights(r - i, steps[i])
+            w[r - i:] += tail
+            dx = grid[i + 1:] - grid[i]
+            K = dx if abs(k) < 1e-12 else (np.exp(2j * k * dx) - 1.0) / (2j * k)
+            g[i] = 1.0 + np.dot(w[1:], K * Vg[i + 1:])
+            Vg[i] = V[i] * g[i]
+        tail = w
     return JostSample(k=k, F=complex(g[0]), iterations_used=1, grid=grid, g=g)
 
 

@@ -11,6 +11,7 @@ from slspec.forward import (BracketError, ForwardError, SolverOptions,
                             characteristic_values, count_above, count_states,
                             eigenvalues, forward, squarewell_oracle,
                             _state_profiles)
+from slspec.jost import JostError, jost
 from slspec.potentials import builtin, eval_potential, make_potential
 from slspec.quadrature import simpson_weights
 
@@ -160,6 +161,10 @@ def test_missing_decay_metadata_raises():
     })
     with pytest.raises(ForwardError):
         calogero_bounds(bare, 10.0)
+    with pytest.raises(ForwardError):
+        forward(bare, 10.0)
+    with pytest.raises(JostError):
+        jost(bare, 10.0, 1j)
 
 
 def _sweep_step_loop(grid, xi, x_stop, rhs="bracket"):

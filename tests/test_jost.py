@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from slspec.jost import (JostError, _jost_grid, _row_weights, jost, jost_bound,
+from slspec.jost import (JostError, _jost_grid, jost, jost_bound,
                          jost_identity_check)
 from slspec.potentials import eval_potential, make_potential
 from slspec.quadrature import simpson_weights
@@ -115,14 +117,49 @@ def _per_row_weights(grid):
     return W
 
 
+def _dense_g(p, omega, k, tol=1e-10):
+    """Reference: the dense (I - M) g = 1 on jost()'s grid, by one
+    back-substitution."""
+    grid = _jost_grid(p, omega, k, tol)
+    x = grid if p.support_end is None else np.minimum(grid, p.support_end - 1e-12)
+    V = -omega * omega * eval_potential(p, x, 0)
+    dx = np.maximum(grid[None, :] - grid[:, None], 0.0)
+    if abs(k) < 1e-12:
+        A = dx.astype(complex)
+    else:                       # in place: m reaches 3191 here
+        A = np.multiply(2j * k, dx)
+        np.exp(A, out=A)
+        A -= 1.0
+        A /= 2j * k
+    del dx
+    # above the diagonal I - M = -M, with M = weights * kernel * V
+    A *= _per_row_weights(grid)
+    A *= -V
+    return solve_triangular(A, np.ones(len(grid)), unit_diagonal=True)
+
+
 @pytest.mark.parametrize("name,omega,k", [
     ("q1", 10.0, 0.5j), ("q1", 10.0, 2.0), ("q1", 10.0, 14.0),
     ("q1", 10.0, 1e4j), ("q1", 20.0, 0.002j),
     ("square_well", 3.0, 1j), ("square_well", 10.0, 2j),
 ])
-def test_row_weights_match_per_row_loop(name, omega, k, q1, sw):
-    grid = _jost_grid({"q1": q1, "square_well": sw}[name], omega, k, 1e-10)
-    assert np.array_equal(_row_weights(grid), _per_row_weights(grid))
+def test_march_matches_dense_triangular_solve(name, omega, k, q1, sw):
+    p = {"q1": q1, "square_well": sw}[name]
+    g = jost(p, omega, k).g
+    g_ref = _dense_g(p, omega, k)
+    assert np.max(np.abs(g - g_ref)) <= 1e-9 * max(1.0, np.max(np.abs(g_ref)))
+
+
+def test_march_memory_is_linear_in_grid(q1):
+    # a dense m x m complex matrix would take 16 m^2 bytes
+    tracemalloc.start()
+    try:
+        m = len(jost(q1, 10.0, 9j).grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == 1483
+    assert peak <= 64 * 16 * m
 
 
 def _series_F(p, omega, k, tol=1e-10):
@@ -131,7 +168,7 @@ def _series_F(p, omega, k, tol=1e-10):
     x = grid if p.support_end is None else np.minimum(grid, p.support_end - 1e-12)
     V = -omega * omega * eval_potential(p, x, 0)
     dx = np.maximum(grid[None, :] - grid[:, None], 0.0)
-    M = _row_weights(grid) * (np.exp(2j * k * dx) - 1.0) / (2j * k) * V[None, :]
+    M = _per_row_weights(grid) * (np.exp(2j * k * dx) - 1.0) / (2j * k) * V[None, :]
     g = np.ones(len(grid), dtype=complex)
     term = g.copy()
     for _ in range(500):
