@@ -33,14 +33,33 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
-from scipy.optimize.elementwise import find_root
 
 from .potentials import Potential, eval_potential
 from .quadrature import integral_with_power_tail
 
 SCHEMA_VERSION = 1
+
+
+# scipy's ODE and root-finding code loads on the first solve, so importing
+# this module (for SpectralData, say) costs no more than numpy.  The solver
+# calls these module-level names, which a tracer may wrap.
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
+
+
+def find_root(*args, **kwargs):
+    """scipy.optimize.elementwise.find_root."""
+    from scipy.optimize.elementwise import find_root
+    return find_root(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq."""
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
 
 
 class ForwardError(RuntimeError):

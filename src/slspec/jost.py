@@ -23,6 +23,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+# jost_identity_check runs the forward legs and root-find, which load scipy's
+# ODE and root-finding code on first use; loading it with this module keeps
+# that cost in the import, not in the first solve.
+import scipy.integrate  # noqa: F401
+import scipy.optimize.elementwise  # noqa: F401
 
 from .forward import SolverOptions, _state_profiles
 from .potentials import Potential, eval_potential
@@ -65,21 +70,22 @@ def _jost_grid(p: Potential, omega: float, k: complex, tol: float) -> np.ndarray
     X = min(max(X, 20.0), 5e4)
     h0 = min(0.05, 0.06 / max(1.0, kk))
 
-    def build(h0):
-        blocks = []
+    def blocks(h0):
+        """(a, b, n): n steps on [a, b], the blocks sharing their ends."""
+        out = []
         a, h = 0.0, h0
         while a < X:
             b = min(X, a + max(60 * h, 3.0))
-            n = max(8, int(math.ceil((b - a) / h / 2.0)) * 2)
-            blocks.append(np.linspace(a, b, n + 1))
+            out.append((a, b, max(8, int(math.ceil((b - a) / h / 2.0)) * 2)))
             a, h = b, 2.0 * h
-        return np.unique(np.concatenate(blocks))
+        return out
 
-    g = build(h0)
-    while len(g) > 3200:
-        h0 *= len(g) / 3200.0
-        g = build(h0)
-    return g
+    # at most 3200 points: coarsen by counting, and build the grid once
+    size = sum(n for _, _, n in blocks(h0)) + 1
+    while size > 3200:
+        h0 *= size / 3200.0
+        size = sum(n for _, _, n in blocks(h0)) + 1
+    return np.unique(np.concatenate([np.linspace(a, b, n + 1) for a, b, n in blocks(h0)]))
 
 
 def jost(p: Potential, omega: float, k: complex, tol: float = 1e-10,

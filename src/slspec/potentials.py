@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 class PotentialError(ValueError):
@@ -169,6 +168,7 @@ def make_potential(spec: dict) -> Potential:
             raise PotentialError("table Q must be strictly decreasing")
         if decay is None:
             raise PotentialError("tabulated potential needs decay metadata")
+        from scipy.interpolate import PchipInterpolator     # tabulated kind only
         interp = PchipInterpolator(xs, qs, extrapolate=False)
         dinterp = interp.derivative()
         return Potential(

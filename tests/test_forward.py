@@ -342,3 +342,21 @@ def test_weakest_state_C_matches_fine_quadrature(q1):
     prof = _state_profiles(q1, 10.0, xi)[0]
     C_ref = _weak_state_reference_C(q1, 10.0, xi[0], prof.x_match, prof.x_stop)
     assert abs(prof.C / C_ref - 1) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["solve_ivp", "find_root", "brentq"])
+def test_solver_calls_go_through_module_names(monkeypatch, sw, name):
+    # a tracer counts the solver's scipy calls by wrapping these names
+    calls = [0]
+    inner = getattr(fwd, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fwd, name, counted)
+    if name == "brentq":
+        squarewell_oracle(10.0)
+    else:
+        forward(sw, 10.0)
+    assert calls[0] > 0

@@ -1,0 +1,57 @@
+"""The import graph and the package's public names, each in a fresh
+interpreter that imports slspec from this tree's src."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FORWARD_ONLY = ("scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.special")
+
+
+def _run(code: str) -> dict:
+    """Run code after `import slspec` from SRC; return the JSON it prints."""
+    head = (f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n"
+            "import slspec\n")
+    out = subprocess.run([sys.executable, "-c", head + code],
+                         capture_output=True, text=True, check=True)
+    res = json.loads(out.stdout.strip().splitlines()[-1])
+    assert Path(res.pop("file")).resolve().is_relative_to(SRC.resolve())
+    return res
+
+
+def _loaded(names) -> str:
+    return (f"print(json.dumps({{'file': slspec.__file__, 'loaded': "
+            f"[m for m in {tuple(names)!r} if m in sys.modules]}}))")
+
+
+def test_inverse_side_loads_no_forward_scipy():
+    res = _run("import slspec.forward, slspec.reconstruct, slspec.cli\n"
+               "sd = slspec.SpectralData(omega=3.0, xi=[1.5], C=[2.0], q0=1.0)\n"
+               "slspec.SpectralData.from_json(sd.to_json())\n"
+               + _loaded(FORWARD_ONLY))
+    assert res["loaded"] == []
+
+
+def test_jost_module_loads_the_ode_stack():
+    res = _run("import slspec.jost\n" + _loaded(["scipy.integrate"]))
+    assert res["loaded"] == ["scipy.integrate"]
+
+
+def test_every_public_name_resolves():
+    res = _run("missing = [n for n in slspec.__all__ if not hasattr(slspec, n)]\n"
+               "print(json.dumps({'file': slspec.__file__, 'missing': missing}))")
+    assert res["missing"] == []
+
+
+@pytest.mark.parametrize("first", ["", "import slspec.jost, slspec.forward",
+                                   "import slspec.forward, slspec.jost"])
+def test_jost_and_forward_are_the_functions(first):
+    res = _run(first + "\nfrom slspec import jost, forward\n"
+               "print(json.dumps({'file': slspec.__file__, "
+               "'kinds': [type(jost).__name__, type(forward).__name__], "
+               "'modules': [jost.__module__, forward.__module__]}))")
+    assert res["kinds"] == ["function", "function"]
+    assert res["modules"] == ["slspec.jost", "slspec.forward"]

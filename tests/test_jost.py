@@ -98,6 +98,18 @@ def test_grid_keeps_its_point_cap(q1, k):
     assert len(_jost_grid(q1, 10.0, k, 1e-10)) <= 3200
 
 
+def test_grid_is_sized_before_it_is_built(q1):
+    # the unconstrained first grid at k = 1e4 i would have 1,000,591 points
+    tracemalloc.start()
+    try:
+        m = len(_jost_grid(q1, 10.0, 1e4j, 1e-10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m <= 3200
+    assert peak <= 1_000_000
+
+
 def _per_row_weights(grid):
     """Reference: composite Simpson over [x_i, X], each row found afresh."""
     m = len(grid)
