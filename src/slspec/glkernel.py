@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve, solve_triangular
 
@@ -58,7 +59,13 @@ def gh_values(z):
     sum_n b_n (z/s^2)^n, whose moments J_n = int_S^inf (1-cos s) s^-2n ds
     and K_n = int_S^inf sin(s) s^-(2n-1) ds come from I_m = int_S^inf
     e^{is} s^-m ds on the rotated contour s = S + it (non-oscillatory,
-    Gauss-Laguerre).  Real z stays real through the finite part.
+    Gauss-Laguerre).  Real z stays real through the finite part, and there
+    G and H come out with imaginary parts exactly 0.
+
+    The node s = d (j + b_l) of panel j, with d = S/npanel and b_l the
+    l-th Gauss node mapped to [0, 1], takes its cos and sin by angle
+    addition from cos/sin(d j) and cos/sin(d b_l): npanel + 12 angles per
+    point instead of 12 npanel, for the same nodes and weights.
     """
     za = np.asarray(z)
     zs = za.ravel() if np.iscomplexobj(za) else za.ravel().astype(float)
@@ -67,21 +74,23 @@ def gh_values(z):
     S = np.maximum(24.0, 3.2 * np.sqrt(np.abs(zs)))
     npanel = np.maximum(16, np.ceil(S / 1.5)).astype(int)
     gx, gw = gauss_rule(12)
+    b = 0.5 * (1.0 + gx)                 # node offsets in a unit panel
     G = np.empty(zs.shape, dtype=complex)
     H = np.empty(zs.shape, dtype=complex)
     # finite part, one group per panel count: the nodes of a point are its
     # own gauss_panels(0, S, npanel) rule
     for p in np.unique(npanel):
         idx = np.flatnonzero(npanel == p)
-        edges = np.arange(p + 1.0)[None, :] * (S[idx] / p)[:, None]
-        edges[:, -1] = S[idx]
-        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-        xs = (mid[:, :, None] + half[:, :, None] * gx).reshape(len(idx), -1)
-        ws = (half[:, :, None] * gw).reshape(len(idx), -1)
-        xR = xs + np.sqrt(xs * xs + zs[idx, None])
-        G[idx] = np.einsum("ij,ij->i", ws, (1.0 - np.cos(xs)) / (xs * xR))
-        H[idx] = np.einsum("ij,ij->i", ws, np.sin(xs) / xR)
+        d = S[idx] / p
+        a = d[:, None] * np.arange(p)    # panel starts d j
+        o = d[:, None] * b               # offsets d b_l
+        ca, sa = np.cos(a)[:, :, None], np.sin(a)[:, :, None]
+        co, so = np.cos(o)[:, None, :], np.sin(o)[:, None, :]
+        xs = a[:, :, None] + o[:, None, :]
+        xR = xs + np.sqrt(xs * xs + zs[idx, None, None])
+        G[idx] = (0.5 * d) * np.einsum("ijl,l->i", (1.0 - (ca * co - sa * so))
+                                       / (xs * xR), gw)
+        H[idx] = (0.5 * d) * np.einsum("ijl,l->i", (sa * co + ca * so) / xR, gw)
     # tail moments: M[k-1] = sum_l w_l (S + i t_l)^-k, by running powers
     inv = 1.0 / (S[:, None] + 1j * _LAG_X[None, :])
     pw = np.ones_like(inv)
@@ -135,24 +144,47 @@ def _check_w(w: complex) -> None:
         raise KernelError(f"spectral shift needs Re w > 0, got {w!r}")
 
 
+def _table_w(w: complex):
+    """w as the kernel tables take it: a float when its imaginary part is 0,
+    so that every table and solve runs in float64, else a complex."""
+    w = complex(w)
+    return w.real if w.imag == 0 else w
+
+
+def _hankel_minus_toeplitz(v: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The (n+1)^2 table v[i + j] - t[j - i] for i, j = 0..n, from the
+    (2n+1)-vector v, with t[k] = v[|k|] for k <= 0 and upper[k - 1] for
+    k > 0.  Both terms are sliding windows over one vector: the Hankel one
+    over v, the Toeplitz one, reversed, over t."""
+    n = (len(v) - 1) // 2
+    t = np.concatenate([v[n::-1], upper])           # t[n + k]
+    return (sliding_window_view(v, n + 1)
+            - sliding_window_view(t, n + 1)[::-1])
+
+
 def _phi_tables(X: float, w: complex, n: int) -> tuple:
     """Phi(x_i, y_j), dPhi/dx(x_i, y_j) and d/dx Phi(x, x) at x_i on the
     uniform (n+1)-point grid of [0, X], from one G/H table at u = k X/n.
 
-    On the diagonal dPhi/dx takes the one-sided limit from y < x.
+    The tables are float64 at real w, where G and H are real, and
+    complex128 otherwise.  On the diagonal dPhi/dx takes the one-sided limit
+    from y < x, that is sgn(0) = +1 in H(u_+) - sgn(x - y) H(u_-).
     """
+    w = _table_w(w)
     h = X / n
     u = np.arange(2 * n + 1) * h
     G, H = gh_values(w * u * u)
+    if not isinstance(w, complex):
+        G, H = G.real, H.real
     wpi = w / math.pi
-    idx = np.arange(n + 1)
-    ip = idx[:, None] + idx[None, :]
-    im = np.abs(idx[:, None] - idx[None, :])
-    Phi = wpi * (u[ip] * G[ip] - u[im] * G[im])
-    sgn = np.sign(idx[:, None] - idx[None, :])
-    sgn[sgn == 0] = 1
-    dPhi = wpi * (H[ip] - sgn * H[im])
-    return Phi, dPhi, (2.0 * wpi) * H[2 * idx]
+    g = u * G
+    # wpi times the table in place; wpi as the first operand gives the same
+    # complex rounding as wpi * table
+    Phi = _hankel_minus_toeplitz(g, g[1: n + 1])
+    np.multiply(wpi, Phi, out=Phi)
+    dPhi = _hankel_minus_toeplitz(H, -H[1: n + 1])
+    np.multiply(wpi, dPhi, out=dPhi)
+    return Phi, dPhi, (2.0 * wpi) * H[::2]
 
 
 @dataclass
@@ -246,6 +278,12 @@ def solve_kernel(X: float, w: complex, n: int = 128, tol: float = 1e-6) -> Kerne
     end columns, and the estimate read 1.0-2.4x the 2-norm cond of that
     matrix on resolved and under-resolved grids.  It is returned as
     KernelField.cond.
+
+    The arithmetic follows w.  At real w (imaginary part 0, as in every
+    reconstruction, where w = omega^2 q0) G and H are real, so the tables,
+    the factor and the fields A, dA_dx, diag and diag_deriv are float64;
+    only imaginary parts that are exactly 0 are dropped.  Any other w runs
+    the same code in complex128.  KernelField.w keeps w as it was passed.
     """
     _check_w(w)
     if X <= 0:
@@ -253,12 +291,17 @@ def solve_kernel(X: float, w: complex, n: int = 128, tol: float = 1e-6) -> Kerne
     if n < 16:
         raise KernelError("need at least 16 grid intervals")
     h = X / n
-    kink = h * h * w / 24.0
+    kink = h * h * _table_w(w) / 24.0
     grid = np.linspace(0.0, X, n + 1)
     Phi, dPhi, dphi_diag = _phi_tables(X, w, n)
-    wts = [gregory_weights(i, h) for i in range(n + 1)]
+    dtype = Phi.dtype
     s0 = _FIRST_BATCHED
-    cs = wts[-1][:7]                     # Gregory start (and mirrored end) weights
+    cs = gregory_weights(s0, h)[:7]      # Gregory start (and mirrored end) weights
+    # from s0 on the start and end corrections do not overlap, and this is
+    # gregory_weights(i, h) to the bit
+    wts = ([gregory_weights(i, h) for i in range(s0)]
+           + [np.concatenate([cs, np.full(i - 13, h), cs[::-1]])
+              for i in range(s0, n + 1)])
     dd = cs[::-1] - h                    # end-column weight change, columns i-6..i
 
     B = _slice_matrix(Phi, np.concatenate([cs, np.full(n - 6, h)]), kink)
@@ -269,8 +312,8 @@ def solve_kernel(X: float, w: complex, n: int = 128, tol: float = 1e-6) -> Kerne
     rcond, _ = get_lapack_funcs("gecon", (B,))(B, anorm, norm="1")
     # column i of Acol / dAcol holds A / dA_dx of slice i on rows 0..i, so
     # their transposes are row-per-slice arrays and A[i] a view of a row
-    Acol = np.zeros((n + 1, n + 1), dtype=complex, order="F")
-    dAcol = np.zeros((n + 1, n + 1), dtype=complex, order="F")
+    Acol = np.zeros((n + 1, n + 1), dtype=dtype, order="F")
+    dAcol = np.zeros((n + 1, n + 1), dtype=dtype, order="F")
     # the Woodbury columns of slice s0 reach back to column s0 - 6
     np.negative(Phi[s0 - 6:, :].T, out=Acol[:, s0 - 6:])
     np.negative(dPhi[s0:, :].T, out=dAcol[:, s0:])
@@ -296,8 +339,8 @@ def solve_kernel(X: float, w: complex, n: int = 128, tol: float = 1e-6) -> Kerne
     for lo in reversed(range(s0, n + 1, _CHUNK)):
         hi = min(lo + _CHUNK, n + 1)
         t = tail[lo - s0: hi - s0]
-        da = np.zeros((n + 1, hi - lo), dtype=complex)
-        db = np.zeros((n + 1, hi - lo), dtype=complex)
+        da = np.zeros((n + 1, hi - lo), dtype=dtype)
+        db = np.zeros((n + 1, hi - lo), dtype=dtype)
         for q in range(7):
             src = Acol[:, lo - 6 + q: hi - 6 + q]
             da += src * (dd[q] * t[:, q, 0])
@@ -332,7 +375,7 @@ def solve_kernel(X: float, w: complex, n: int = 128, tol: float = 1e-6) -> Kerne
     B_rows = [dAcol[: i + 1, i] for i in range(n + 1)]
     diag = np.diagonal(Acol).copy()
     diag[0] = -Phi[0, 0]
-    diag_deriv = np.empty(n + 1, dtype=complex)
+    diag_deriv = np.empty(n + 1, dtype=dtype)
     diag_deriv[0] = -dphi_diag[0]
     for i in range(1, n + 1):
         wt, a, b = wts[i], A_rows[i], B_rows[i]
@@ -403,7 +446,7 @@ def operator_min_singular_value(X: float, w: complex, n: int = 64) -> float:
     _check_w(w)
     Phi, _, _ = _phi_tables(X, w, n)
     wt = gregory_weights(n, X / n)
-    M = np.eye(n + 1, dtype=complex) + Phi.T * wt[None, :]
+    M = np.eye(n + 1, dtype=Phi.dtype) + Phi.T * wt[None, :]
     root = np.sqrt(wt)
     root[root == 0] = 1e-150
     Mw = (root[:, None] * M) / root[None, :]

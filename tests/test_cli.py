@@ -45,6 +45,23 @@ def test_kernel_csv_trailer(tmp_path):
     assert any(line.startswith("# diag:") for line in text)
 
 
+def test_kernel_csv_at_real_w(tmp_path):
+    # real w runs the solve in float64: every im_* column reads a plain zero
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert run(["kernel", "--w", 4, "--X", 2, "--n", 32, "--out", out]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    text = outs[0].read_text().splitlines()
+    assert text[0] == "x,y,re_A,im_A"
+    cut = next(k for k, line in enumerate(text) if line.startswith("# diag:"))
+    rows = [line.split(",") for line in text[1:cut]]
+    diag = [line[2:].split(",") for line in text[cut + 1:]]
+    assert len(rows) == 33 * 34 // 2 and len(diag) == 33
+    zero = "0.000000000000e+00"
+    assert all(r[3] == zero for r in rows)
+    assert all(d[2] == zero and d[4] == zero for d in diag)
+
+
 def test_benchmark_rates_csv(tmp_path):
     out = tmp_path / "rates.csv"
     assert run(["benchmark", "--potential", "square_well",

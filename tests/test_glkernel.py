@@ -223,6 +223,73 @@ def test_solve_kernel_matches_dense_slices(X, w, n):
     assert [len(b) for b in kf.dA_dx] == [len(b) for b in dA]
 
 
+def test_kernel_scaling_identity_and_restriction():
+    # Phi(x, y, w) = sqrt(w) Phi(sqrt(w) x, sqrt(w) y, 1), so on grids with
+    # the same h sqrt(w) A scales by sqrt(w), dA/dx and d/dx A(x, x) by w
+    w = 400.0
+    kf = solve_kernel(2.0, w, n=512)
+    unit = solve_kernel(40.0, 1.0, n=512)
+    r = math.sqrt(w)
+    assert _rel(kf.A, [r * a for a in unit.A]) <= 1e-13
+    assert _rel(kf.dA_dx, [w * b for b in unit.dA_dx]) <= 1e-13
+    assert _rel([kf.diag], [r * unit.diag]) <= 1e-13
+    assert _rel([kf.diag_deriv], [w * unit.diag_deriv]) <= 1e-13
+    # the slices on [0, 40] of a solve on [0, 80] with the same h are the
+    # slices of the solve on [0, 40]
+    big = solve_kernel(80.0, 1.0, n=1024)
+    assert _rel(big.A[:513], unit.A) <= 1e-13
+    assert _rel(big.dA_dx[:513], unit.dA_dx) <= 1e-13
+    assert _rel([big.diag[:513]], [unit.diag]) <= 1e-13
+    assert _rel([big.diag_deriv[:513]], [unit.diag_deriv]) <= 1e-13
+
+
+@pytest.mark.parametrize("X, w, n", [(2.0, 4.0, 128), (2.0, 400.0, 128),
+                                     (2.0, 400.0, 512)])
+def test_real_w_solve_matches_complex_path(X, w, n):
+    # w + 1e-300j takes the complex128 path with the same kernel; the
+    # under-resolved (5, 1e5, 64) case is left out, because there w and
+    # w + 1e-300j already differ by ~1e-10 in dA/dx through round-off
+    kr = solve_kernel(X, w, n=n)
+    kc = solve_kernel(X, w + 1e-300j, n=n)
+    for kf, dtype in ((kr, np.float64), (kc, np.complex128)):
+        assert all(a.dtype == dtype for a in kf.A + kf.dA_dx)
+        assert kf.diag.dtype == kf.diag_deriv.dtype == dtype
+    assert _rel(kr.A, kc.A) <= 1e-13
+    assert _rel(kr.dA_dx, kc.dA_dx) <= 1e-13
+    assert _rel([kr.diag], [kc.diag]) <= 1e-13
+    assert _rel([kr.diag_deriv], [kc.diag_deriv]) <= 1e-13
+
+
+@pytest.mark.parametrize("w", [4.0, 1 + 5j])
+@pytest.mark.parametrize("n", [16, 17, 64])
+def test_phi_tables_match_index_gather(n, w):
+    X = 2.0
+    Phi, dPhi, dphi_diag = _phi_tables(X, w, n)
+    assert Phi.dtype == dPhi.dtype == dphi_diag.dtype == (
+        np.float64 if w == 4.0 else np.complex128)
+    # the index-gather formulas, on the same G/H table
+    u = np.arange(2 * n + 1) * (X / n)
+    G, H = gh_values(w * u * u)
+    wpi = w / math.pi
+    idx = np.arange(n + 1)
+    ip = idx[:, None] + idx[None, :]
+    im = np.abs(idx[:, None] - idx[None, :])
+    sgn = np.sign(idx[:, None] - idx[None, :])
+    sgn[sgn == 0] = 1
+    assert np.array_equal(Phi, wpi * (u[ip] * G[ip] - u[im] * G[im]))
+    assert np.array_equal(dPhi, wpi * (H[ip] - sgn * H[im]))
+    # the one-sided diagonal, sgn(0) = +1
+    assert np.array_equal(np.diagonal(dPhi), wpi * (H[2 * idx] - H[0]))
+    assert np.array_equal(dphi_diag, (2.0 * wpi) * H[2 * idx])
+
+
+def test_slice_weights_are_gregory_weights():
+    n, h = 40, 2.0 / 40
+    kf = solve_kernel(2.0, 4.0, n=n)
+    for i in range(n + 1):
+        assert np.array_equal(kf.slice_weights(i), gregory_weights(i, h))
+
+
 def test_solve_kernel_guards_still_fire():
     # residual ~2e-14 and cond ~20.9 at (2, 400, n=128)
     with pytest.raises(KernelError, match="residual"):
