@@ -17,12 +17,16 @@ bracket the phase count isolates (the phase representation compresses their
 information exponentially, the mismatch keeps it well conditioned).
 
 Both the mismatch and the state profiles match two legs at a point past the
-turning point: the left leg integrates the linear equation from the origin,
-the right leg the Riccati equation of the decaying solution's log-derivative
-back from the truncation point.  Every state's legs run in one vector solve,
-each state joining and leaving the vector at its own end points, and carry
-the norm integrals as ODE components: z' = y^2 on the left, and on the right
-R(x) = int_x^{x_stop} (y(t)/y(x))^2 dt through R' = -1 - 2 u R.
+turning point: the left leg runs from the origin, the right leg back from the
+truncation point.  Every leg of every state runs on one fourth-order Magnus
+propagator: closed-form 2x2 cell matrices (two Gauss points per cell, det 1)
+on one mesh per (Q, omega), with breakpoints as nodes, each leg clipped to its
+own interval, and Richardson extrapolation over the mesh and its bisection.
+Node counts are sign changes of y at cell ends, and the norm integrals come
+from the energy derivative of the same cells, int y^2 = y dy' - y' dy with
+dots for d/d(xi^2), so no leg needs a quadrature or an ODE solver.
+The constant-reference-potential propagators of MATSLISE (Ledoux, Van Daele
+& Vanden Berghe, ACM TOMS 2005) rest on the same closed-form cells.
 """
 from __future__ import annotations
 
@@ -40,9 +44,10 @@ from .quadrature import integral_with_power_tail
 SCHEMA_VERSION = 1
 
 
-# scipy's ODE and root-finding code loads on the first solve, so importing
-# this module (for SpectralData, say) costs no more than numpy.  The solver
-# calls these module-level names, which a tracer may wrap.
+# scipy's root-finding code loads on the first solve, so importing this module
+# (for SpectralData, say) costs no more than numpy.  The solver calls these
+# module-level names, which a tracer may wrap; solve_ivp stays for tracers
+# that wrap it, though no forward path calls it.
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp."""
@@ -83,11 +88,6 @@ _POINTS_PER_RADIAN = 60.0
 _EFOLDS = 13.0
 # no truncation point lies beyond this x
 _X_INF_CAP = 1e8
-# rtol of the legs.  The mismatch keeps 1e-12: at 1e-11 its xi moves C of
-# q1's weakest state at omega 40 by 1.0e-9 relative.  The profiles keep
-# 1e-11: 1e-12 there takes about 25% longer on q1 at omega 40.
-_MISMATCH_RTOL = 1e-12
-_PROFILE_RTOL = 1e-11
 
 
 @dataclass
@@ -187,6 +187,8 @@ class _Problem:
         self.xi_max = omega * self.sq0
         self.xi_floor = 1e-4 / omega
         self._xplus_table = self._build_xplus_table()
+        self._meshes = []
+        self._mesh_extent = -1.0
 
     def _build_xplus_table(self):
         if self.p.support_end is not None:
@@ -276,6 +278,41 @@ class _Problem:
         qb = om2 * eval_potential(self.p, xs + hs - nudge, 0)
         return _ShootGrid(xs, hs, qa, qm, qb, xs + hs, x_max)
 
+    def gauss_q(self, x: np.ndarray, h: np.ndarray) -> tuple:
+        """omega^2 Q at the two Gauss points of the cells [x, x + h]."""
+        om2 = self.omega ** 2
+        return (om2 * eval_potential(self.p, x + (0.5 - _GAUSS) * h, 0),
+                om2 * eval_potential(self.p, x + (0.5 + _GAUSS) * h, 0))
+
+    def mesh(self, extent: float, level: int = 0) -> "_Mesh":
+        """The propagator mesh on [0, extent], bisected level times.
+
+        A node's place depends on the potential and omega alone: panel ends
+        are a fixed sequence, and extending the mesh adds nodes past the old
+        extent without moving any below it.  Q is evaluated at cells that
+        end at or before extent only.
+        """
+        if extent > self._mesh_extent:
+            n = int(math.log1p(extent) / math.log(_PANEL_GROWTH)) + 2
+            ends = np.cumprod(np.full(n, _PANEL_GROWTH)) - 1.0
+            ends = np.union1d(np.append(ends, 0.0),
+                              [b for b in self.p.breakpoints if b > 0])
+            left, right = ends[:-1], ends[1:]
+            keep = left < extent
+            left, right = left[keep], right[keep]
+            density = (_CELLS_PER_RADIAN * self.omega * np.sqrt(eval_potential(self.p, left, 0))
+                       + _CELLS_NEAR / (1.0 + left))
+            counts = np.maximum(np.ceil((right - left) * density), 1).astype(int)
+            panel = np.repeat(np.arange(len(left)), counts)
+            j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            nodes = left[panel] + (right - left)[panel] * (j / counts[panel])
+            nodes = np.append(nodes, right[-1])
+            self._meshes = [_Mesh(self, nodes[nodes <= extent])]
+            self._mesh_extent = extent
+        while len(self._meshes) <= level:
+            self._meshes.append(self._meshes[-1].bisect(self))
+        return self._meshes[level]
+
     def count_grid_extent(self) -> float:
         """x beyond which the remaining zero-energy phase is negligible."""
         if self.p.support_end is not None:
@@ -336,105 +373,237 @@ def _phase_count_fn(prob: _Problem, grid: _ShootGrid):
 
 
 # ----------------------------------------------------------------------
-# two-sided machinery (the two legs, Wronskian mismatch, node counts)
+# two-sided machinery: the Magnus propagator, the Wronskian mismatch, node
+# counts
 
-def _vector_legs(rhs, start: np.ndarray, end: np.ndarray, w0: np.ndarray,
-                 cuts: Sequence = (), rtol: float = _PROFILE_RTOL) -> tuple:
-    """Integrate every state j from start[j] to end[j] in one solve_ivp vector.
+# Propagator mesh density, cells per unit length:
+# _CELLS_PER_RADIAN omega sqrt(Q) + _CELLS_NEAR / (1 + x).  Cells are uniform
+# within panels whose ends are (_PANEL_GROWTH^i - 1) and the breakpoints, and
+# take the density at the panel's left end.
+_CELLS_PER_RADIAN = 8.0
+_CELLS_NEAR = 128.0
+_PANEL_GROWTH = 17.0 / 16.0
+# cells per block of the propagator, which bounds its (cells x legs)
+# temporaries
+_BLOCK = 256
+# the Gauss points of a cell [x, x + h] lie at x + (1/2 -+ _GAUSS) h
+_GAUSS = math.sqrt(3.0) / 6.0
 
-    All legs run the same way.  A state joins the vector at its start with
-    the values w0[j] and leaves it at its end; the solve restarts at every
-    start, end and cut point (cuts lie inside the legs' span).  rhs(idx)
-    returns the right-hand side of the states idx, whose vector holds
-    component k of state idx[i] at k * len(idx) + i.  Returns the
-    (states, components) values at the ends, and per state the number of
-    sign changes of component 0 between accepted steps (the same step end
-    points that solve_ivp's event detection compares).
+
+class _Mesh:
+    """Cell ends on [0, extent] and omega^2 Q at every cell's Gauss points."""
+
+    def __init__(self, prob: "_Problem", nodes: np.ndarray):
+        self.nodes = nodes
+        self.h = np.diff(nodes)
+        self.qa, self.qb = prob.gauss_q(nodes[:-1], self.h)
+
+    def bisect(self, prob: "_Problem") -> "_Mesh":
+        nodes = np.empty(2 * len(self.nodes) - 1)
+        nodes[0::2] = self.nodes
+        nodes[1::2] = self.nodes[:-1] + 0.5 * self.h
+        return _Mesh(prob, nodes)
+
+
+def _cells(h, qa, qb, lam, deriv: bool) -> np.ndarray:
+    """Fourth-order Magnus cell matrices of y'' = (lam - omega^2 Q) y.
+
+    Over a cell of width h with omega^2 Q = qa, qb at its Gauss points, the
+    propagator of (y, y') is exp(Omega), Omega = [[a, h], [h fbar, -a]] with
+    fbar = lam - (qa + qb)/2 and a = (sqrt(3)/12) h^2 (qb - qa).  Omega^2 =
+    t I with t = a^2 + h^2 fbar, so exp(Omega) = c I + s Omega with c, s =
+    cosh, sinh(sqrt t)/sqrt t (cos, sin for t < 0), and det = 1.  A cell of
+    width 0 is the identity.  Returns the entries (m11, m12, m21, m22) along
+    the first axis, followed by their lam-derivatives when deriv is set.
     """
-    out = np.array(w0, dtype=float)
-    signs = np.zeros(len(out), dtype=int)
-    pts = np.unique(np.concatenate([start, end, cuts]))
-    if np.any(end < start):
-        pts = pts[::-1]
-    idx = np.empty(0, dtype=int)
-    for a, b in zip(pts[:-1], pts[1:]):
-        idx = np.concatenate([idx, np.flatnonzero(start == a)])
-        if idx.size:
-            sol = solve_ivp(rhs(idx), (a, b), out[idx].T.ravel(), method="DOP853",
-                            rtol=rtol, atol=1e-14)
-            out[idx] = sol.y[:, -1].reshape(-1, idx.size).T
-            y = sol.y[:idx.size]
-            signs[idx] += np.count_nonzero(y[:, :-1] * y[:, 1:] < 0, axis=1)
-        idx = idx[end[idx] != b]
-    return out, signs
+    fbar = lam - 0.5 * (qa + qb)
+    a = (math.sqrt(3.0) / 12.0) * h * h * (qb - qa)
+    hf = h * fbar
+    t = a * a + h * hf
+    r = np.sqrt(np.abs(t))
+    pos = t > 0
+    c = np.where(pos, np.cosh(r), np.cos(r))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.where(r > 0, np.where(pos, np.sinh(r), np.sin(r)) / r, 1.0)
+    out = [c + s * a, s * h, s * hf, c - s * a]
+    if deriv:
+        # dt/dlam = h^2, dc/dt = s/2 and ds/dt = (c - s)/(2t), whose series
+        # 1/6 + t/60 + t^2/1680 + t^3/90720 avoids the cancellation at small t
+        with np.errstate(invalid="ignore", divide="ignore"):
+            g = np.where(np.abs(t) < 1e-2,
+                         1 / 6 + t * (1 / 60 + t * (1 / 1680 + t / 90720)),
+                         (c - s) / (2.0 * t))
+        h2 = h * h
+        dc, ds = 0.5 * h2 * s, h2 * g
+        out += [dc + ds * a, ds * h, ds * hf + s * h, dc - ds * a]
+    return np.stack(np.broadcast_arrays(*out))
 
 
-def _left_rhs(p: Potential, om2: float, xi: np.ndarray):
-    """rhs(idx) factory of the left legs (y, y', z): y'' = (xi^2 - om^2 Q) y
-    and the norm integral z' = y^2."""
-    def make(idx):
-        xi2, k = xi[idx] ** 2, idx.size
-
-        def rhs(x, w):
-            y = w[:k]
-            return np.concatenate([w[k:2 * k],
-                                   (xi2 - om2 * eval_potential(p, x, 0)) * y, y * y])
-        return rhs
-    return make
+# row indices of a 2x2 product a @ b, entries (m11, m12, m21, m22); with
+# lam-derivatives in rows 4..7, the rows of (a @ b, a' @ b, a @ b')
+_PRODUCT = {4: ([0, 0, 2, 2], [0, 1, 0, 1], [1, 1, 3, 3], [2, 3, 2, 3]),
+            8: ([0, 0, 2, 2, 4, 4, 6, 6, 0, 0, 2, 2], [0, 1, 0, 1, 0, 1, 0, 1, 4, 5, 4, 5],
+                [1, 1, 3, 3, 5, 5, 7, 7, 1, 1, 3, 3], [2, 3, 2, 3, 2, 3, 2, 3, 6, 7, 6, 7])}
 
 
-def _right_rhs(p: Potential, om2: float, xi: np.ndarray):
-    """rhs(idx) factory of the right legs (u, L, R): the Riccati
-    log-derivative u' = xi^2 - om^2 Q - u^2, the log-amplitude L' = u and
-    the tail norm R' = -1 - 2 u R."""
-    def make(idx):
-        xi2, k = xi[idx] ** 2, idx.size
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, and its lam-derivative a' b + a b' when the stacks carry one."""
+    i1, j1, i2, j2 = _PRODUCT[len(a)]
+    p = a[i1] * b[j1] + a[i2] * b[j2]
+    if len(a) == 8:
+        p[4:8] += p[8:]
+        p = p[:8]
+    return p
 
-        def rhs(x, w):
-            u, R = w[:k], w[2 * k:]
-            return np.concatenate([xi2 - om2 * eval_potential(p, x, 0) - u * u,
-                                   u, -1.0 - 2.0 * u * R])
-        return rhs
-    return make
+
+def _rescale(m: np.ndarray, e: np.ndarray) -> tuple:
+    """m / 2^k and e + k, with k making the largest matrix entry about 1.
+    A derivative is scaled with its matrix, so (m, m') keep their ratio."""
+    k = np.frexp(np.abs(m[:4]).max(axis=0))[1]
+    return np.ldexp(m, -k), e + k
+
+
+def _reduce(m: np.ndarray, e: np.ndarray) -> tuple:
+    """Product of the matrices along axis 1, later ones on the left, as a
+    pairwise tree; m is scaled by 2^-e."""
+    while m.shape[1] > 1:
+        n = m.shape[1] - m.shape[1] % 2
+        p, f = _rescale(_mul(m[:, 1:n:2], m[:, 0:n:2]), e[1:n:2] + e[0:n:2])
+        m, e = np.concatenate([p, m[:, n:]], axis=1), np.concatenate([f, e[n:]])
+    return m[:, 0], e[0]
+
+
+def _legs(prob: _Problem, lam: np.ndarray, xa: np.ndarray, xb: np.ndarray,
+          level: int = 0, deriv: bool = False) -> tuple:
+    """Transfer matrices of y'' = (lam_j - omega^2 Q) y over [xa_j, xb_j].
+
+    Every leg runs on the one mesh of prob, bisected level times: its full
+    cells are the mesh's, and the partial cells at its two ends are split in
+    2^level equal parts, so that every cell of the leg is bisected from one
+    level to the next.  Blocks of _BLOCK cells, aligned to the mesh, are
+    multiplied out for the legs that reach them, so a leg's result does not
+    depend on which other legs run with it.  Returns (m, e): the matrix
+    entries of every leg (rows as in _cells) scaled by 2^-e.
+    """
+    n = lam.size
+    extent = float(xb.max())
+    nodes = np.append(prob.mesh(extent).nodes, np.inf)
+    mesh = prob.mesh(extent, level)
+    ka = np.searchsorted(nodes, xa, side="left")
+    kb = np.searchsorted(nodes, xb, side="right") - 1
+    head_end = np.minimum(nodes[ka], xb)
+    tail_start = np.maximum(nodes[kb], head_end)
+    k0 = np.minimum(ka, kb) << level
+    k1 = kb << level
+
+    def partial(x0, x1):
+        # the cells [x0, x1] of every leg, in 2^level equal parts
+        parts = 1 << level
+        h = (x1 - x0) / parts
+        x = x0 + h * np.arange(parts)[:, None]
+        qa, qb = prob.gauss_q(x, h)
+        return _reduce(_cells(h, qa, qb, lam, deriv), np.zeros((parts, n), dtype=int))
+
+    m, e = partial(xa, head_end)
+    first = int(k0.min()) // _BLOCK * _BLOCK
+    for b0 in range(first, int(k1.max()), _BLOCK):
+        b1 = min(b0 + _BLOCK, len(mesh.h))
+        act = np.flatnonzero((k0 < b1) & (k1 > b0))
+        if not act.size:
+            continue
+        k = np.arange(b0, b1)[:, None]
+        h = np.where((k >= k0[act]) & (k < k1[act]), mesh.h[b0:b1, None], 0.0)
+        blk, f = _reduce(_cells(h, mesh.qa[b0:b1, None], mesh.qb[b0:b1, None],
+                                lam[act], deriv),
+                         np.zeros((b1 - b0, act.size), dtype=int))
+        m[:, act], e[act] = _rescale(_mul(blk, m[:, act]), e[act] + f)
+    tm, te = partial(tail_start, xb)
+    return _rescale(_mul(tm, m), e + te)
+
+
+def _node_counts(prob: _Problem, lam: np.ndarray, x_m: np.ndarray) -> tuple:
+    """Zeros of y on (0, x_m] for y(0) = 0, y'(0) = 1, counted as sign
+    changes between the ends of the level-0 cells, and the sign of y(x_m).
+
+    Blocks of cells are scanned by prefix products; the vector (y, y')
+    carried from block to block is rescaled, which keeps its signs.
+    """
+    mesh = prob.mesh(float(x_m.max()))
+    nodes = mesh.nodes
+    kb = np.searchsorted(nodes, x_m, side="right") - 1
+    n = lam.size
+    y, v = np.zeros(n), np.ones(n)
+    count = np.zeros(n, dtype=int)
+    for b0 in range(0, int(kb.max()), _BLOCK):
+        b1 = min(b0 + _BLOCK, len(mesh.h))
+        act = np.flatnonzero(kb > b0)
+        k = np.arange(b0, b1)[:, None]
+        h = np.where(k < kb[act], mesh.h[b0:b1, None], 0.0)
+        p = _cells(h, mesh.qa[b0:b1, None], mesh.qb[b0:b1, None], lam[act], False)
+        step = 1
+        while step < p.shape[1]:
+            p[:, step:] = _mul(p[:, step:], p[:, :-step])
+            step *= 2
+        ys = p[0] * y[act] + p[1] * v[act]
+        prev = np.concatenate([y[act][None], ys[:-1]])
+        count[act] += np.count_nonzero(prev * ys < 0, axis=0)
+        y[act], v[act] = ys[-1], p[2, -1] * y[act] + p[3, -1] * v[act]
+        size = np.maximum(np.abs(y[act]), np.abs(v[act]))
+        y[act], v[act] = y[act] / size, v[act] / size
+    x0 = nodes[kb]
+    h = x_m - x0
+    qa, qb = prob.gauss_q(x0, h)
+    p = _cells(h, qa, qb, lam, False)
+    y_m = p[0] * y + p[1] * v
+    return count + (y * y_m < 0), np.sign(y_m)
+
+
+def _richardson(coarse, fine):
+    """(16 F_{h/2} - F_h) / 15: the fourth-order error of the propagator
+    cancels between the mesh and its bisection."""
+    return (16.0 * fine - coarse) / 15.0
+
+
+def _mismatch_on(prob: _Problem, xi: np.ndarray, level: int) -> np.ndarray:
+    """The mismatch of _mismatch for the 1-d array xi, on the propagator's
+    mesh bisected level times."""
+    n = xi.size
+    x_m = prob.x_match(xi)
+    x_stop = np.maximum(prob.x_stop(xi), x_m)
+    lam = np.concatenate([xi, xi]) ** 2
+    m, e = _legs(prob, lam, np.concatenate([np.zeros(n), x_m]),
+                 np.concatenate([x_m, x_stop]), level)
+    # the right leg's y(x_m) is adj(P) (1, u0) for its transfer matrix P
+    u = (m[0, n:] * -xi - m[2, n:]) / (m[3, n:] - m[1, n:] * -xi)
+    return np.ldexp(m[3, :n] - u * m[1, :n], e[:n])
 
 
 def _mismatch(prob: _Problem, xi, with_nodes: bool = False):
     """Matching residual W(xi) = y_L'(x_m) - u_R(x_m) y_L(x_m) for a scalar
-    or an array of xi (every state's legs in one vector solve).
+    or an array of xi.
 
     Zero exactly at eigenvalues; its sign together with the node count of
-    y_L below x_m gives the exact number of eigenvalues above xi.  The right
-    leg starts on y'/y = -xi at the truncation point; a truncation at or
-    before x_m integrates nothing.  W is left unnormalized: with the left leg
-    started on (y, y') = (0, 1) it is proportional to the growing-branch
-    coefficient of y_L, so nearly linear in xi, and the root-find's
-    interpolation steps converge fast.  (Around q1's xi_j = 16.7 at omega
-    40, W / (xi - xi_j) stays within 4e-4 relative for |xi - xi_j| <= 0.018;
-    W / |(y_L, y_L')| changes it sixfold.)
+    y_L below x_m gives the exact number of eigenvalues above xi.  The left
+    leg runs from (y, y') = (0, 1) at the origin to x_m, the right leg back
+    from y'/y = u_R = -xi at the truncation point, both on the Magnus
+    propagator (a truncation at or before x_m leaves u_R = -xi), and W is
+    Richardson-extrapolated over the mesh and its bisection.  W is left
+    unnormalized: it is proportional to the growing-branch coefficient of
+    y_L, so nearly linear in xi, and the root-find's interpolation steps
+    converge fast.  (Around q1's xi_j = 16.7 at omega 40, W / (xi - xi_j)
+    stays within 4e-4 relative for |xi - xi_j| <= 0.018; W / |(y_L, y_L')|
+    changes it sixfold.)
     """
     xi = np.asarray(xi, dtype=float)
     flat = xi.ravel()
-    n = flat.size
-    om2 = prob.omega ** 2
-    x_m = prob.x_match(flat)
-    x_stop = prob.x_stop(flat)
-    cuts = [b for b in prob.p.breakpoints if 0 < b < x_m.max()]
-    w_l, nodes = _vector_legs(_left_rhs(prob.p, om2, flat), np.zeros(n), x_m,
-                              np.tile([0.0, 1.0, 0.0], (n, 1)), cuts, _MISMATCH_RTOL)
-    y, v = w_l[:, 0], w_l[:, 1]
-    u = -flat
-    run = x_stop > x_m * (1 + 1e-12)
-    if run.any():
-        w_r = np.column_stack([u[run], np.zeros((run.sum(), 2))])
-        u[run] = _vector_legs(_right_rhs(prob.p, om2, flat[run]), x_stop[run],
-                              x_m[run], w_r, rtol=_MISMATCH_RTOL)[0][:, 0]
-    w = (v - u * y).reshape(xi.shape)
+    w = _richardson(*(_mismatch_on(prob, flat, level) for level in (0, 1)))
     if with_nodes:
         # one extra zero of y_L beyond x_m exactly when the growing-branch
         # coefficient (proportional to w) opposes the local sign of y; the
         # Dirichlet zero at x = 0 is no sign change, so it is not counted
-        return w, (nodes + (w.ravel() * y < 0)).reshape(xi.shape)
-    return w
+        nodes, sign = _node_counts(prob, flat * flat, prob.x_match(flat))
+        return w.reshape(xi.shape), (nodes + (w * sign < 0)).reshape(xi.shape)
+    return w.reshape(xi.shape)
 
 
 def count_above(p: Potential, omega: float, xi_star: float, _prob=None) -> int:
@@ -588,15 +757,19 @@ class StateProfile:
 def _state_profiles(p: Potential, omega: float, xi: np.ndarray) -> list:
     """Normalization data per state: C_j, tail amplitude log s_j, diagnostics.
 
-    Each state is matched across the turning point by two legs, and every
-    state's leg runs in one vector solve.  The left legs carry (y, y', z),
-    z the norm integral, from the origin to x_m.  The right legs carry
-    (u, L, R) back from the truncation point: the Riccati log-derivative
-    u = y'/y of the decaying solution, the log-amplitude L = int_{x_stop}^x u
-    and the tail norm R(x) = int_x^{x_stop} e^{2(L(t) - L(x))} dt through
-    R' = -1 - 2 u R, so R(x_m) is the norm integral of y / y(x_m) over
-    [x_m, x_stop].  Deep states never overflow, and the normalization adds
-    the analytic exponential tail beyond the truncation.
+    Each state is matched across the turning point by two legs on the Magnus
+    propagator, every state's legs in one pass: the left leg from (y, y') =
+    (0, 1) at the origin to x_m, the right leg back from the truncation
+    point, where y = 1 and y'/y = u0.  The norm integrals need no
+    quadrature: with dots for d/d(xi^2), (y dy' - y' dy)' = y^2, so
+    int_0^{x_m} y^2 = (y dy' - y' dy)(x_m) on the left and int_{x_m}^{x_stop}
+    y^2 = -(y dy' - y' dy)(x_m) on the right (no derivative at the fixed
+    start), and each cell's derivative is in closed form.  The right leg's
+    values at x_m come from its transfer matrix P as adj(P) (1, u0), scaled
+    by a power of 2, so deep states never overflow.  The normalization adds
+    the analytic exponential tail beyond the truncation, and C, log s and
+    the mismatch are Richardson-extrapolated over the mesh and its
+    bisection.
     """
     prob = _Problem(p, omega)
     om2 = omega * omega
@@ -617,26 +790,31 @@ def _state_profiles(p: Potential, omega: float, xi: np.ndarray) -> list:
         u0 = -np.sqrt(np.maximum(kap2, 0.25 * xi * xi))
         if p.m_smoothness >= 1:
             u0 = u0 + om2 * eval_potential(p, x_stop, 1) / (4.0 * kap2)
+    x_stop = np.maximum(x_stop, x_m)
 
-    cuts = [b for b in p.breakpoints if 0 < b < x_m.max()]
-    y_m, v_m, z_l = _vector_legs(_left_rhs(p, om2, xi), np.zeros(n), x_m,
-                                 np.tile([0.0, 1.0, 0.0], (n, 1)), cuts)[0].T
-    # L(x) grows positive toward x_m (the decaying branch is integrated
-    # against the orientation); a truncation at or before x_m integrates
-    # nothing
-    w_r = np.column_stack([u0, np.zeros(n), np.zeros(n)])
-    run = x_stop > x_m * (1 + 1e-12)
-    if run.any():
-        w_r[run] = _vector_legs(_right_rhs(p, om2, xi[run]), x_stop[run], x_m[run],
-                                w_r[run])[0]
-    u_m, l_m, m_hat = w_r.T
-    tail = np.exp(-2.0 * l_m) / (2.0 * xi)
-    norm2 = z_l + y_m * y_m * (m_hat + tail)
-    log_s = np.log(np.abs(y_m)) - l_m + xi * x_stop - 0.5 * np.log(norm2)
-    with np.errstate(divide="ignore"):
-        mism = np.where(y_m != 0, np.abs(v_m / y_m - u_m), np.inf)
+    lam = np.concatenate([xi, xi]) ** 2
+    xa, xb = np.concatenate([np.zeros(n), x_m]), np.concatenate([x_m, x_stop])
+    out = []
+    for level in (0, 1):
+        m, e = _legs(prob, lam, xa, xb, level, deriv=True)
+        y, v, dy, dv = m[[1, 3, 5, 7], :n]
+        r = m[:, n:]
+        # right leg at x_m: (y, y') = adj(P) (1, u0), likewise its derivative,
+        # all scaled by 2^-e
+        yr, vr = r[3] - r[1] * u0, r[0] * u0 - r[2]
+        dyr, dvr = r[7] - r[5] * u0, r[4] * u0 - r[6]
+        l_m = e[n:] * math.log(2.0) + np.log(np.abs(yr))
+        m_hat = (vr * dyr - yr * dvr) / (yr * yr)
+        tail = np.exp(-2.0 * l_m) / (2.0 * xi)
+        # the left leg's norm in units of 2^(2e)
+        norm2 = y * dv - v * dy + y * y * (m_hat + tail)
+        log_s = np.log(np.abs(y)) - l_m + xi * x_stop - 0.5 * np.log(norm2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out.append((np.ldexp(1.0 / norm2, -2 * e[:n]), log_s, v / y - vr / yr))
+    C, log_s, mism = (_richardson(a, b) for a, b in zip(*out))
+    mism = np.where(np.isfinite(mism), np.abs(mism), np.inf)
     return [StateProfile(*map(float, row))
-            for row in zip(xi, 1.0 / norm2, log_s, x_m, x_stop, mism)]
+            for row in zip(xi, C, log_s, x_m, x_stop, mism)]
 
 
 def characteristic_values(p: Potential, omega: float, xi: Sequence) -> np.ndarray:

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-# jost_identity_check runs the forward legs and root-find, which load scipy's
-# ODE and root-finding code on first use; loading it with this module keeps
-# that cost in the import, not in the first solve.
-import scipy.integrate  # noqa: F401
+# jost_identity_check runs the forward root-find, which loads scipy's
+# root-finding code on first use; loading it with this module keeps that cost
+# in the import, not in the first solve.
 import scipy.optimize.elementwise  # noqa: F401
 
 from .forward import SolverOptions, _state_profiles

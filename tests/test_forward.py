@@ -110,6 +110,29 @@ def test_profiles_match_square_well_closed_form(sw):
         assert abs(p.log_s - math.log(s_exact)) < 1e-7
 
 
+@pytest.mark.parametrize("omega", [10.0, 20.0])
+def test_propagator_is_exact_on_the_square_well(sw, omega):
+    # Q is constant on every cell, so the Magnus cells are the exact
+    # propagator and the norm integral from their energy derivative is exact
+    sd = squarewell_oracle(omega)
+    for p, xi, C in zip(_state_profiles(sw, omega, sd.xi), sd.xi, sd.C):
+        nu = math.sqrt(omega * omega - xi * xi)
+        log_s = math.log(math.sqrt(2 * xi / (1 + xi)) * math.exp(xi) * abs(math.sin(nu)))
+        assert abs(p.C / C - 1) <= 1e-12
+        assert abs(p.log_s / log_s - 1) <= 1e-12
+
+
+def test_mismatch_converges_at_fourth_order(q1):
+    # the Richardson step (16 W_{h/2} - W_h) / 15 relies on an h^4 error:
+    # successive differences over h, h/2 and h/4 must shrink about 16-fold
+    prob = fwd._Problem(q1, 40.0)
+    xi = np.array(_RECORDED["q1", 40.0][0])
+    for probe in (xi, 0.5 * (xi[:-1] + xi[1:])):
+        w = [fwd._mismatch_on(prob, probe, level) for level in (0, 1, 2)]
+        ratio = (w[0] - w[1]) / (w[1] - w[2])
+        assert np.all((ratio >= 12) & (ratio <= 20)), ratio
+
+
 def test_forward_packaging(q1, q1_sd10):
     assert q1_sd10.q0 == 1.0
     assert q1_sd10.q0_derivatives[0] == 0.0
@@ -298,8 +321,8 @@ def test_polish_without_sign_change_warns(monkeypatch, sw):
 
 @pytest.mark.parametrize("kind,omega", list(_RECORDED))
 def test_batched_profiles_match_per_state_profiles(kind, omega):
-    # every state's legs share one vector solve; a state's result must not
-    # depend on which other states ride along
+    # every state's legs share one propagator pass; a state's result must
+    # not depend on which other states ride along
     p = builtin(kind)
     xi = np.array(_RECORDED[kind, omega][0])
     batched = _state_profiles(p, omega, xi)
@@ -344,7 +367,16 @@ def test_weakest_state_C_matches_fine_quadrature(q1):
     assert abs(prof.C / C_ref - 1) <= 1e-9
 
 
-@pytest.mark.parametrize("name", ["solve_ivp", "find_root", "brentq"])
+def test_every_state_C_matches_fine_quadrature(q1):
+    # the propagator's norm integrals against the independent DOP853 legs and
+    # Simpson tail of the reference, state by state
+    xi = np.array(_RECORDED["q1", 10.0][0])
+    for x, prof in zip(xi, _state_profiles(q1, 10.0, xi)):
+        C_ref = _weak_state_reference_C(q1, 10.0, x, prof.x_match, prof.x_stop)
+        assert abs(prof.C / C_ref - 1) <= 1e-9, x
+
+
+@pytest.mark.parametrize("name", ["find_root", "brentq"])
 def test_solver_calls_go_through_module_names(monkeypatch, sw, name):
     # a tracer counts the solver's scipy calls by wrapping these names
     calls = [0]
