@@ -4,17 +4,15 @@ Dirichlet condition at 0, decaying tail at infinity.  Eigenvalues are the
 xi_j with lambda_j = -xi_j^2; the characteristic value C_j = phi_j'(0)^2 of
 the L2-normalized eigenfunction completes the inverse problem's data.
 
-The solver uses the Pruefer phase representation so eigenvalue indices come
-from integer phase counts (no root can be missed): a vectorized fixed-grid
-RK4 sweep narrows every state's bracket at once, K-fold per sweep, by
-evaluating the phase count at K - 1 interior points of each bracket
-(K-section), down to a fixed width.  The sweep's roots carry its
-discretization bias, so every state is then finished on a Wronskian-mismatch
-functional, all states in one vectorized bracketing root-find (Chandrupatla's
-method).  Near-threshold states, whose truncation domains are thousands of
-length units, lie beyond the sweep's grid and start the root-find from the
-bracket the phase count isolates (the phase representation compresses their
-information exponentially, the mismatch keeps it well conditioned).
+The eigenvalue search counts: the node count of the left leg and the sign of
+the Wronskian mismatch give the exact number of eigenvalues above any xi, so
+no root can be missed.  K-section on that count (every open bracket cut
+K-fold per pass, all brackets' interior points counted at once) narrows each
+state's bracket until it holds that state alone, and one vectorized
+bracketing root-find of the mismatch (Chandrupatla's method) then finishes
+every state.  The count changes only where the mismatch changes sign, so
+every isolating bracket holds a sign change, down to the near-threshold
+states whose truncation domains are thousands of length units.
 
 Both the mismatch and the state profiles match two legs at a point past the
 turning point: the left leg runs from the origin, the right leg back from the
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -82,8 +79,6 @@ class SolverOptions:
     tol: float = 1e-10
 
 
-# Pruefer grid resolution: steps per radian of the local oscillation
-_POINTS_PER_RADIAN = 60.0
 # decay margin, in e-folds of the level, past the truncation's turning point
 _EFOLDS = 13.0
 # no truncation point lies beyond this x
@@ -153,30 +148,17 @@ def calogero_bounds(p: Potential, omega: float) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# per-(potential, omega) context and the vectorized Pruefer sweep
+# per-(potential, omega) context
 
-# K of the eigenvalue search's K-section: one sweep over the K - 1 interior
-# points of every open bracket cuts each bracket K-fold; sweep cost grows
-# slowly with the vector length, so K well above 2 pays
+# K of the eigenvalue search's K-section: one count over the K - 1 interior
+# points of every open bracket cuts each bracket K-fold; the count's cost
+# grows slowly with the number of points, so K well above 2 pays
 _KSECT = 12
-# bracket width at which the K-section stops: well below the gaps, and the
-# sweep's discretization bias (5e-3 on q1 at omega 80) is left to the
-# mismatch root-find anyway
-_KSECT_WIDTH = 1e-5
-
-@dataclass
-class _ShootGrid:
-    xs: np.ndarray        # step left endpoints
-    hs: np.ndarray        # step sizes
-    qa: np.ndarray        # omega^2 Q at the three RK4 stage points
-    qm: np.ndarray
-    qb: np.ndarray
-    ends: np.ndarray
-    x_max: float
 
 
 class _Problem:
-    """Turning-point table, truncation rule, and grids for one (Q, omega)."""
+    """Turning-point table, truncation rule, and propagator meshes for one
+    (Q, omega)."""
 
     def __init__(self, p: Potential, omega: float):
         if p.support_end is None and p.decay is None:
@@ -240,44 +222,6 @@ class _Problem:
         return np.where(xp <= 0, np.minimum(1.0, x_stop),
                         np.minimum(xp + pad, 0.5 * (xp + x_stop)))
 
-    def build_grid(self, x_max: float) -> _ShootGrid:
-        om2 = self.omega ** 2
-        bps = sorted(b for b in self.p.breakpoints if 0 < b < x_max)
-        bps.append(x_max)
-        xs, hs = [], []
-        x = 0.0
-        nxt = iter(bps)
-        bp = next(nxt)
-        xi_max2 = om2 * self.p.q0
-        while x < x_max - 1e-15:
-            q = eval_potential(self.p, x + 1e-12, 0)
-            # oscillation resolution plus an explicit-RK4 stability bound:
-            # the phase Jacobian is at most 1 + |om^2 Q - xi^2| over the
-            # states still active at x (deep ones freeze just past their
-            # turning point, far-tail ones have xi ~ efolds/x)
-            q_ahead = eval_potential(self.p, 0.9 * x + 1e-12, 0)
-            xi_act = min(math.sqrt(xi_max2),
-                         max(1.5 * math.sqrt(om2 * q_ahead),
-                             _EFOLDS / (0.3 * max(x, 0.1))))
-            jac = 1.0 + om2 * q + xi_act * xi_act
-            h = min(1.0 / (_POINTS_PER_RADIAN * math.sqrt(om2 * q) + 1.0), 2.5 / jac, 0.8)
-            if x + h >= bp - 1e-14:
-                h = bp - x
-                try:
-                    bp = next(nxt)
-                except StopIteration:
-                    pass
-            xs.append(x)
-            hs.append(h)
-            x += h
-        xs = np.asarray(xs)
-        hs = np.asarray(hs)
-        nudge = 1e-12 * np.maximum(hs, 1e-6)
-        qa = om2 * eval_potential(self.p, xs + nudge, 0)
-        qm = om2 * eval_potential(self.p, xs + 0.5 * hs, 0)
-        qb = om2 * eval_potential(self.p, xs + hs - nudge, 0)
-        return _ShootGrid(xs, hs, qa, qm, qb, xs + hs, x_max)
-
     def gauss_q(self, x: np.ndarray, h: np.ndarray) -> tuple:
         """omega^2 Q at the two Gauss points of the cells [x, x + h]."""
         om2 = self.omega ** 2
@@ -321,55 +265,6 @@ class _Problem:
         half = d.k2 / 2.0
         X = (self.omega * math.sqrt(d.a) / (0.02 * (half - 1.0))) ** (1.0 / (half - 1.0))
         return min(max(X, 10.0), 1e6)
-
-
-def _pruefer_sweep(grid: _ShootGrid, xi: np.ndarray, x_stop: np.ndarray) -> np.ndarray:
-    """Integrate theta' = cos^2 + (omega^2 Q - xi^2) sin^2 for all xi at once.
-
-    The right-hand side is evaluated as 1 + (omega^2 Q - xi^2 - 1) sin^2, with
-    the bracket formed once per step: one sine and two multiply-adds a stage.
-    Each state's phase is captured at its own truncation point; whatever the
-    (unstable, discarded) values do past that point never feeds the result.
-    """
-    freeze_at = np.searchsorted(grid.ends, x_stop * (1 - 1e-12), side="left")
-    freeze_at = np.minimum(freeze_at, len(grid.xs) - 1)
-    # states ordered by falling freeze step: those still moving after step i
-    # are the first keep[i], so the vectors shrink as states freeze
-    order = np.argsort(-freeze_at, kind="stable")
-    steps = np.arange(int(freeze_at.max()) + 1)
-    keep = np.searchsorted(-freeze_at[order], -steps, side="left").tolist()
-    shift = (xi * xi + 1.0)[order]
-    theta = np.zeros_like(shift)
-    frozen = np.empty_like(shift)
-
-    def f(g, th):
-        s = np.sin(th)
-        return 1.0 + g * s * s
-
-    n = len(shift)
-    for i, h, qa, qm, qb in zip(steps.tolist(), grid.hs.tolist(), grid.qa.tolist(),
-                                grid.qm.tolist(), grid.qb.tolist()):
-        gm = qm - shift
-        k1 = f(qa - shift, theta)
-        k2 = f(gm, theta + 0.5 * h * k1)
-        k3 = f(gm, theta + 0.5 * h * k2)
-        k4 = f(qb - shift, theta + h * k3)
-        theta = theta + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        m = keep[i]
-        if m < n:
-            frozen[m:n] = theta[m:]
-            theta, shift, n = theta[:m], shift[:m], m
-    out = np.empty_like(frozen)
-    out[order] = frozen
-    return out
-
-
-def _phase_count_fn(prob: _Problem, grid: _ShootGrid):
-    def P(xi_vec: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xi_vec, dtype=float)
-        th = _pruefer_sweep(grid, xs, prob.x_stop(xs))
-        return th + np.arctan(1.0 / xs) - math.pi
-    return P
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +418,8 @@ def _legs(prob: _Problem, lam: np.ndarray, xa: np.ndarray, xb: np.ndarray,
 
 def _node_counts(prob: _Problem, lam: np.ndarray, x_m: np.ndarray) -> tuple:
     """Zeros of y on (0, x_m] for y(0) = 0, y'(0) = 1, counted as sign
-    changes between the ends of the level-0 cells, and the sign of y(x_m).
+    changes between the ends of the level-0 cells, and (y, y')(x_m) up to a
+    positive factor.
 
     Blocks of cells are scanned by prefix products; the vector (y, y')
     carried from block to block is rescaled, which keeps its signs.
@@ -555,7 +451,7 @@ def _node_counts(prob: _Problem, lam: np.ndarray, x_m: np.ndarray) -> tuple:
     qa, qb = prob.gauss_q(x0, h)
     p = _cells(h, qa, qb, lam, False)
     y_m = p[0] * y + p[1] * v
-    return count + (y * y_m < 0), np.sign(y_m)
+    return count + (y * y_m < 0), y_m, p[2] * y + p[3] * v
 
 
 def _richardson(coarse, fine):
@@ -601,8 +497,8 @@ def _mismatch(prob: _Problem, xi, with_nodes: bool = False):
         # one extra zero of y_L beyond x_m exactly when the growing-branch
         # coefficient (proportional to w) opposes the local sign of y; the
         # Dirichlet zero at x = 0 is no sign change, so it is not counted
-        nodes, sign = _node_counts(prob, flat * flat, prob.x_match(flat))
-        return w.reshape(xi.shape), (nodes + (w * sign < 0)).reshape(xi.shape)
+        nodes, y_m, _ = _node_counts(prob, flat * flat, prob.x_match(flat))
+        return w.reshape(xi.shape), (nodes + (w * np.sign(y_m) < 0)).reshape(xi.shape)
     return w.reshape(xi.shape)
 
 
@@ -617,32 +513,32 @@ def count_states(p: Potential, omega: float, _prob=None) -> int:
     """Number of bound states, from the oscillation count of the zero-energy
     Dirichlet solution (each interior zero binds exactly one state).
 
-    The fractional phase decides whether the asymptotically linear tail
-    contributes one more zero; knife-edge cases (threshold states) are
-    re-decided by the well-conditioned two-sided counter at a tiny xi.
+    The zeros are counted on the propagator out to count_grid_extent(); the
+    fractional phase atan2(y, y') mod pi at that point decides whether the
+    asymptotically linear tail contributes one more zero.  Knife-edge cases
+    (threshold states) are re-decided by the well-conditioned two-sided
+    counter at a tiny xi.
     """
     prob = _prob or _Problem(p, omega)
-    grid = prob.build_grid(prob.count_grid_extent())
-    theta = _pruefer_sweep(grid, np.array([0.0]), np.array([grid.x_max]))[0]
-    n, frac = divmod(theta / math.pi, 1.0)
+    n, y, v = _node_counts(prob, np.zeros(1), np.array([prob.count_grid_extent()]))
+    frac = (math.atan2(y[0], v[0]) % math.pi) / math.pi
     if abs(frac - 0.5) < 1e-3 and p.support_end is None:
         return count_above(p, omega, prob.xi_floor, _prob=prob)
-    return int(n) + (1 if frac > 0.5 else 0)
+    return int(n[0]) + (1 if frac > 0.5 else 0)
 
 
 def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None) -> np.ndarray:
     """All xi_j of the Dirichlet problem, strictly increasing.
 
-    Oscillation counting isolates each index; K-section on the Pruefer phase
-    (one vectorized sweep over the _KSECT - 1 interior points of every open
-    bracket per pass, each bracket narrowed to the adjacent pair of points
-    that straddles its target count) narrows every state whose truncation
-    fits the common grid to _KSECT_WIDTH.  One vectorized root-find of the
-    Wronskian mismatch then brings every state to opts.tol: a swept state
-    from its sweep bracket, padded past the sweep's discretization bias, and
-    a near-threshold state from the bracket the phase count isolates.  A
-    swept state whose padded bracket never shows a sign change keeps its
-    sweep midpoint and says so with a RuntimeWarning.
+    The state with node count i is the one eigenvalue between a point where
+    the exact count of eigenvalues above xi (the mismatch's sign and the left
+    leg's nodes) is i + 1 and one where it is i.  K-section on that count
+    (one count over the _KSECT - 1 interior points of every open bracket per
+    pass, each bracket narrowed to the adjacent pair of points that straddles
+    its state) runs until every state's bracket holds that state alone.  One
+    vectorized root-find of the mismatch then brings every state to opts.tol.
+    The count changes only where the mismatch changes sign, so a root-find
+    that does not converge is a fault, reported as a BracketError.
     """
     opts = opts or SolverOptions()
     if not (math.isfinite(omega) and omega > 0):
@@ -654,94 +550,55 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
     if n_states == 0:
         return np.empty(0)
     lo0 = prob.xi_floor
-    if p.support_end is None and count_above(p, omega, lo0, _prob=prob) < n_states:
+    top = prob.xi_max * (1 - 1e-13)
+    _, (n_floor, n_top) = _mismatch(prob, np.array([lo0, top]), with_nodes=True)
+    if n_floor < n_states:
         raise BracketError(
             f"weakest of {n_states} states lies below the resolvable floor "
             f"xi = {lo0:.3g}")
+    if n_top != 0:
+        raise BracketError(
+            f"count does not close at xi_max: {n_top} states above "
+            f"xi = {top:.17g}")
 
-    # vector grid serves states down to xi_split; weaker ones start the
-    # mismatch root-find from the bracket the phase count isolates
-    xi_split = max(_EFOLDS / 600.0, 1.2 * lo0)
-    x_cap = float(prob.x_stop(min(xi_split, prob.xi_max / 4)))
-    grid = prob.build_grid(x_cap)
-    P = _phase_count_fn(prob, grid)
-
-    targets = math.pi * np.arange(n_states)
-    top = prob.xi_max * (1 - 1e-13)
-    lo = np.full(n_states, lo0)
-    hi = np.full(n_states, top)
-    reach = grid.x_max * (1 + 1e-9)
+    # state i's bracket: the count is n_lo >= i + 1 at lo and n_hi <= i at hi
+    states = np.arange(n_states)
+    lo, hi = np.full(n_states, lo0), np.full(n_states, top)
+    n_lo, n_hi = np.full(n_states, n_floor), np.zeros(n_states, dtype=int)
     frac = np.arange(_KSECT + 1) / _KSECT
-    cols = np.arange(_KSECT + 1)
-    rows = np.arange(n_states)
-    for sweep in range(200):
-        # columns: lo, the K - 1 interior points, hi
-        pts = lo[:, None] + (hi - lo)[:, None] * frac
-        pts[:, -1] = hi
-        # interior points below the vector grid's reach are left to the
-        # mismatch
-        use = (prob.x_stop(pts) <= reach) & (hi - lo >= _KSECT_WIDTH)[:, None]
-        use[:, [0, -1]] = False
-        if sweep and not use.any():
-            break
-        r, c = np.nonzero(use)
-        # the first sweep also checks that the phase count closes at xi_max
-        phase = P(np.append(pts[r, c], [top] if sweep == 0 else []))
-        if sweep == 0 and phase[-1] >= 0:
-            raise BracketError(
-                f"phase count does not close at xi_max: P={phase[-1]:.3g} "
-                f"(expected < 0)")
-        above = np.zeros(pts.shape, dtype=bool)
-        above[:, 0] = True
-        above[r, c] = phase[:len(r)] > targets[r]
-        known = use.copy()
-        known[:, [0, -1]] = True
-        # new bracket: the first known point whose phase count is at or below
-        # the target, and the last known point before it whose count is above
-        first = (known & ~above).argmax(axis=1)
-        last = np.where(known & above & (cols < first[:, None]), cols, 0).max(axis=1)
-        lo, hi = pts[rows, last], pts[rows, first]
-    xi = 0.5 * (lo + hi)
-
-    # one bracket per state: a swept state's sweep bracket, padded past the
-    # sweep's bias but never into a neighboring root, or the isolating
-    # bracket of a state beyond the grid's reach.  Brackets without a sign
-    # change widen (swept) or fail (unreached); the rest are done.
-    swept = (prob.x_stop(xi) <= reach) & (hi - lo < 2 * _KSECT_WIDTH)
-    srt = np.sort(xi)
-    min_gap = float(np.diff(srt).min()) if n_states > 1 else float(srt[0])
-    pad = np.minimum(1e-3 * (1.0 + xi), 0.2 * min_gap)
-    tolerances = dict(xatol=1e-14, xrtol=1e-2 * opts.tol, fatol=0.0, frtol=0.0)
-    todo = np.arange(n_states)
-    for _ in range(6):
-        a = np.where(swept, np.maximum(lo0, xi - pad), lo)[todo]
-        b = np.where(swept, np.minimum(top, xi + pad), hi)[todo]
-        res = find_root(lambda t: _mismatch(prob, t), (a, b), tolerances=tolerances)
-        if np.any(res.status < -1):
-            raise ForwardError(f"mismatch root-find failed with status "
-                               f"{res.status.min()} for states {todo[res.status < -1]}")
-        done = res.status == 0
-        xi[todo[done]] = res.x[done]
-        fail = ~done & ~swept[todo]
-        if fail.any():
-            k = int(np.argmax(fail))
-            wa, wb = (f[k] for f in res.f_bracket)
-            raise BracketError(
-                f"mismatch bracket failed for state with node count {todo[k]} on "
-                f"[{a[k]:.3g}, {b[k]:.3g}]: W = ({wa:.3g}, {wb:.3g})")
-        todo, a, b = todo[~done], a[~done], b[~done]
+    for _ in range(64):
+        todo = np.flatnonzero((n_lo != states + 1) | (n_hi != states))
         if not todo.size:
             break
-        pad[todo] = np.minimum(2 * pad[todo], 0.45 * min_gap)
-    for i, ai, bi in zip(todo, a, b):
-        warnings.warn(
-            f"the mismatch shows no sign change for the state with node count "
-            f"{i} on [{ai:.17g}, {bi:.17g}]; xi keeps the midpoint of the "
-            f"sweep bracket [{lo[i]:.17g}, {hi[i]:.17g}] (width "
-            f"{hi[i] - lo[i]:.3g}), accurate only to the phase sweep's "
-            f"discretization, not to tol = {opts.tol:.3g}",
-            RuntimeWarning, stacklevel=2)
-    return np.sort(xi)
+        # columns: lo, the K - 1 interior points, hi; states that share a
+        # bracket share its points, so each distinct point is counted once
+        pts = lo[todo, None] + (hi - lo)[todo, None] * frac
+        pts[:, -1] = hi[todo]
+        inner, where = np.unique(pts[:, 1:-1], return_inverse=True)
+        counts = np.empty(pts.shape, dtype=int)
+        counts[:, 0], counts[:, -1] = n_lo[todo], n_hi[todo]
+        _, inner_counts = _mismatch(prob, inner, with_nodes=True)
+        counts[:, 1:-1] = inner_counts[where.reshape(-1, _KSECT - 1)]
+        # new bracket: the first point whose count is at or below i, and the
+        # point before it
+        first = (counts <= states[todo, None]).argmax(axis=1)
+        rows = np.arange(todo.size)
+        lo[todo], n_lo[todo] = pts[rows, first - 1], counts[rows, first - 1]
+        hi[todo], n_hi[todo] = pts[rows, first], counts[rows, first]
+    else:
+        raise BracketError(f"the count does not isolate the states with node "
+                           f"counts {todo.tolist()}")
+
+    tolerances = dict(xatol=1e-14, xrtol=1e-4 * opts.tol, fatol=0.0, frtol=0.0)
+    res = find_root(lambda t: _mismatch(prob, t), (lo, hi), tolerances=tolerances)
+    if np.any(res.status != 0):
+        k = int(np.argmax(res.status != 0))
+        wa, wb = (f[k] for f in res.f_bracket)
+        raise BracketError(
+            f"mismatch root-find failed with status {res.status[k]} for the "
+            f"state with node count {k} on [{lo[k]:.17g}, {hi[k]:.17g}]: "
+            f"W = ({wa:.3g}, {wb:.3g})")
+    return np.sort(res.x)
 
 
 @dataclass

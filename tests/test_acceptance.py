@@ -161,8 +161,8 @@ def test_criterion_2c_gaps_and_characteristic_bracket(q1_sweep):
 
 def test_q1_xi_resolved_to_tol_above_omega_25(q1, q1_sweep):
     # every returned xi lies within 2 tol of a root of the Wronskian mismatch;
-    # the Pruefer sweep's own roots are off by up to 4.8e-4 at omega 40 and
-    # 5.0e-3 at omega 80
+    # the roots of an RK4 Pruefer phase at 60 steps per radian are off by up
+    # to 4.8e-4 at omega 40 and 5.0e-3 at omega 80
     tol = SolverOptions().tol
     for om in (40.0, 80.0):
         xi = q1_sweep[om].xi

@@ -86,6 +86,11 @@ def test_counts_match_zero_energy_oscillation(q1, sw):
     assert count_states(sw, 10.0) == 3
     assert count_states(sw, 5.0) == 2
     assert count_above(q1, 10.0, 2.0) == 3
+    # q1's zero-energy solution is sqrt(1 + x^2) sin(nu arctan x) with
+    # nu = sqrt(1 + omega^2), so it has ceil(nu / 2) - 1 interior zeros; the
+    # omegas include ones whose last zero lies far out in the linear tail
+    for omega in (3.3, 5.0, 7.8, 9.9, 10.0, 11.7, 20.0, 33.3, 40.0, 80.0, 160.0):
+        assert count_states(q1, omega) == math.ceil(math.sqrt(1 + omega**2) / 2) - 1, omega
 
 
 def test_empty_spectrum_below_threshold(sw):
@@ -164,16 +169,21 @@ def test_truncation_sensitivity_passes(monkeypatch, q1, q1_sd10):
         assert abs(w2 - w1) <= 1e-6
 
 
-@pytest.mark.parametrize("omega", [10.0, 20.0])
-def test_count_above_across_breakpoints_matches_oracle(sw, omega):
+@pytest.mark.parametrize("kind,omega", [pytest.param("square_well", 10.0, id="10.0"),
+                                        pytest.param("square_well", 20.0, id="20.0"),
+                                        pytest.param("q1", 40.0, id="q1-40.0")])
+def test_count_above_across_breakpoints_matches_oracle(kind, omega):
     # the left leg restarts at the well's edge and drops the zero at x = 0;
-    # the count must match the closed form on both sides of every level
-    levels = squarewell_oracle(omega).xi
+    # the count must match the closed form (the recorded levels for q1, whose
+    # weakest lies at 5e-4) on both sides of every level
+    p = builtin(kind)
+    levels = (squarewell_oracle(omega).xi if kind == "square_well"
+              else np.array(_RECORDED[kind, omega][0]))
     probes = np.concatenate([0.5 * (levels[:-1] + levels[1:]),
                              levels * (1 - 1e-6), levels * (1 + 1e-6),
                              [0.01, 0.999 * omega]])
     for s in probes:
-        assert count_above(sw, omega, s) == int(np.sum(levels > s)), s
+        assert count_above(p, omega, s) == int(np.sum(levels > s)), s
 
 
 def test_missing_decay_metadata_raises():
@@ -190,62 +200,17 @@ def test_missing_decay_metadata_raises():
         jost(bare, 10.0, 1j)
 
 
-def _sweep_step_loop(grid, xi, x_stop, rhs="bracket"):
-    """The Pruefer sweep as a plain per-step loop over every state.
+def test_count_not_closing_raises(monkeypatch, sw):
+    # a count still above zero at xi_max means the count and the spectrum
+    # disagree; the eigenvalue search must report it before it starts
+    counts = fwd._node_counts
 
-    rhs="bracket" evaluates theta' as the sweep does, 1 + (q - xi^2 - 1) sin^2;
-    rhs="cos" as cos^2 + (q - xi^2) sin^2, the same function rounded otherwise.
-    """
-    xi2 = xi * xi
-    theta = np.zeros_like(xi)
-    frozen = np.zeros_like(xi)
-    freeze_at = np.searchsorted(grid.ends, x_stop * (1 - 1e-12), side="left")
-    freeze_at = np.minimum(freeze_at, len(grid.xs) - 1)
+    def lifted(prob, lam, x_m):
+        n, y, v = counts(prob, lam, x_m)
+        return np.where(lam >= (0.999 * 10.0) ** 2, n + 2, n), y, v
 
-    def f(q, th):
-        s = np.sin(th)
-        if rhs == "cos":
-            c = np.cos(th)
-            return c * c + (q - xi2) * s * s
-        return 1.0 + (q - (xi2 + 1.0)) * s * s
-
-    for i in range(int(freeze_at.max()) + 1):
-        h = grid.hs[i]
-        k1 = f(grid.qa[i], theta)
-        k2 = f(grid.qm[i], theta + 0.5 * h * k1)
-        k3 = f(grid.qm[i], theta + 0.5 * h * k2)
-        k4 = f(grid.qb[i], theta + h * k3)
-        theta = theta + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        frozen = np.where(freeze_at == i, theta, frozen)
-    return frozen
-
-
-@pytest.mark.parametrize("kind,omega", [("q1", 10.0), ("square_well", 7.0)])
-def test_pruefer_sweep_matches_step_loop(kind, omega):
-    # the sweep drops states from its vectors as they freeze; the arithmetic
-    # per state is unchanged, so the phases must agree bit for bit
-    prob = fwd._Problem(builtin(kind), omega)
-    grid = prob.build_grid(float(prob.x_stop(0.05)))
-    rng = np.random.default_rng(3)
-    xi = np.concatenate([rng.uniform(0.05, prob.xi_max, 40), [0.05, 0.05]])
-    x_stop = np.minimum(prob.x_stop(xi), grid.x_max)
-    theta = fwd._pruefer_sweep(grid, xi, x_stop)
-    assert np.array_equal(theta, _sweep_step_loop(grid, xi, x_stop))
-    # the cos^2 form of the right-hand side differs by round-off only
-    assert np.max(np.abs(theta - _sweep_step_loop(grid, xi, x_stop, rhs="cos"))) <= 1e-13
-
-
-def test_phase_count_not_closing_raises(monkeypatch, sw):
-    # a phase count still at or above zero at xi_max means the count and the
-    # phase disagree; the first K-section sweep must report it
-    sweep = fwd._pruefer_sweep
-
-    def lifted(grid, xi, x_stop):
-        theta = sweep(grid, xi, x_stop)
-        return np.where(xi >= 0.999 * 10.0, theta + 2 * math.pi, theta)
-
-    monkeypatch.setattr(fwd, "_pruefer_sweep", lifted)
-    with pytest.raises(BracketError, match="phase count does not close"):
+    monkeypatch.setattr(fwd, "_node_counts", lifted)
+    with pytest.raises(BracketError, match="count does not close"):
         eigenvalues(sw, 10.0)
 
 
@@ -254,8 +219,8 @@ def test_phase_count_not_closing_raises(monkeypatch, sw):
 # search's, before it became a K-section; the weakest state's C on q1 at
 # omega 10 is the one computed since its tail integral became an ODE component
 # (the Simpson rule it replaced was off by 3e-9 relative).  q1 at omega 40 is
-# the per-state brentq polish of the mismatch and the C of those xi: the
-# sweep's own roots there are off by up to 4.8e-4
+# the per-state brentq polish of the mismatch and the C of those xi: an RK4
+# Pruefer phase at 60 steps per radian put its roots off by up to 4.8e-4
 _RECORDED = {
     ("q1", 10.0): (
         [0.00835526596300303, 0.994103002398904, 2.889800726337032,
@@ -287,19 +252,20 @@ _RECORDED = {
 
 @pytest.mark.parametrize("kind,omega", list(_RECORDED))
 def test_ksection_matches_recorded_values_in_few_sweeps(monkeypatch, kind, omega):
-    sweeps = []
-    sweep = fwd._pruefer_sweep
+    calls = []
+    counts = fwd._node_counts
 
     def counted(*args):
-        sweeps.append(1)
-        return sweep(*args)
+        calls.append(1)
+        return counts(*args)
 
-    monkeypatch.setattr(fwd, "_pruefer_sweep", counted)
+    monkeypatch.setattr(fwd, "_node_counts", counted)
     p = builtin(kind)
     opts = SolverOptions()
     xi = eigenvalues(p, omega, opts)
-    # bisection needed 29 (q1, 10), 41 (q1, 40) and 30 (square well) sweeps
-    assert len(sweeps) <= 20
+    # one count of all points per pass, plus the zero-energy count and the
+    # count at the ends; 4 (q1, 10), 6 (q1, 40) and 4 (square well) calls
+    assert len(calls) <= 8
     xi_ref, C_ref = (np.array(v) for v in _RECORDED[kind, omega])
     assert len(xi) == len(xi_ref)
     assert np.max(np.abs(xi - xi_ref)) <= 2 * opts.tol
@@ -307,16 +273,17 @@ def test_ksection_matches_recorded_values_in_few_sweeps(monkeypatch, kind, omega
     assert np.max(np.abs(C - C_ref) / C_ref) <= 1e-9
 
 
-def test_polish_without_sign_change_warns(monkeypatch, sw):
-    # a mismatch that never changes sign leaves every state at its sweep
-    # value; that loss of digits must be reported, not silent
-    monkeypatch.setattr(fwd, "_mismatch",
-                        lambda prob, xi, with_nodes=False: np.ones(np.shape(xi)))
-    with pytest.warns(RuntimeWarning, match=r"node count \d+ on \[.*width") as rec:
-        xi = eigenvalues(sw, 10.0)
-    assert len(rec) == len(xi) == 3
-    # the sweep's own discretization error, about 3e-6 here
-    assert np.max(np.abs(xi - squarewell_oracle(10.0).xi)) < 1e-5
+def test_mismatch_without_sign_change_raises(monkeypatch, sw):
+    # the count isolates every state, so a root-find that sees no sign change
+    # is a fault; it must raise, never return fewer digits silently
+    mismatch = fwd._mismatch
+
+    def unsigned(prob, xi, with_nodes=False):
+        return mismatch(prob, xi, True) if with_nodes else np.abs(mismatch(prob, xi))
+
+    monkeypatch.setattr(fwd, "_mismatch", unsigned)
+    with pytest.raises(BracketError, match=r"node count \d+ on \["):
+        eigenvalues(sw, 10.0)
 
 
 @pytest.mark.parametrize("kind,omega", list(_RECORDED))
