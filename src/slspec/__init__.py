@@ -6,13 +6,11 @@ identity.  Inverse side: determinant and kernel-plus-determinant
 reconstructions of Q from the data, the small-dispersion determinant
 profile, and a benchmark harness for convergence rates.
 
-Importing the package loads numpy and scipy.linalg; the Jost names load
-slspec.jost, and with it scipy's ODE and root-finding code, on first access.
+Importing the package loads numpy and scipy.linalg.  No forward solve or
+Jost identity check loads scipy's ODE or root-finding code; only wkb_spectrum
+and squarewell_oracle load scipy.optimize, for brentq.  The package
+attributes forward and jost are the functions, not the submodules.
 """
-
-import importlib
-import sys
-import types
 
 from .potentials import (Decay, Potential, PotentialError, builtin,
                          eval_potential, make_potential, validate_class)
@@ -23,6 +21,7 @@ from .wkb import (WkbError, WkbProfile, action, predicted_count,
                   spacing_check, theta_plus, turning_point, wkb_spectrum)
 from .glkernel import (KernelError, KernelField, coercivity_check, gh_values,
                        phi_diag_derivative, phi_kernel, solve_kernel)
+from .jost import JostError, JostSample, jost, jost_bound, jost_identity_check
 from .reconstruct import (ReconstructError, ReconstructionResult, ScaledMatrix,
                           SingularFamilyError, build_T, build_W, lax_levermore,
                           reconstruct_gl0, reconstruct_glm)
@@ -31,29 +30,6 @@ from .rates import (RateError, RateReport, SpectralEstimateReport,
                     vitushkin_c_inf, vitushkin_c_l1)
 
 __version__ = "0.1.0"
-
-_JOST_NAMES = ("JostError", "JostSample", "jost", "jost_bound", "jost_identity_check")
-
-
-def __getattr__(name):
-    """The Jost names, loaded on first access (PEP 562)."""
-    if name in _JOST_NAMES:
-        # not `from . import jost`: its hasattr check would land back here
-        return getattr(importlib.import_module(".jost", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class _Package(types.ModuleType):
-    """Importing a submodule binds it as a package attribute; where a public
-    function shares the submodule's name (forward, jost), keep the function."""
-
-    def __setattr__(self, name, value):
-        if name in __all__ and isinstance(value, types.ModuleType):
-            value = getattr(value, name)
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "Decay", "Potential", "PotentialError", "builtin", "eval_potential",

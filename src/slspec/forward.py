@@ -41,21 +41,13 @@ from .quadrature import integral_with_power_tail
 SCHEMA_VERSION = 1
 
 
-# scipy's root-finding code loads on the first solve, so importing this module
-# (for SpectralData, say) costs no more than numpy.  The solver calls these
-# module-level names, which a tracer may wrap; solve_ivp stays for tracers
-# that wrap it, though no forward path calls it.
+# scipy loads on the first call of these, which a tracer may wrap;
+# squarewell_oracle calls brentq, and no forward path calls solve_ivp.
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp."""
     from scipy.integrate import solve_ivp
     return solve_ivp(*args, **kwargs)
-
-
-def find_root(*args, **kwargs):
-    """scipy.optimize.elementwise.find_root."""
-    from scipy.optimize.elementwise import find_root
-    return find_root(*args, **kwargs)
 
 
 def brentq(*args, **kwargs):
@@ -527,6 +519,51 @@ def count_states(p: Potential, omega: float, _prob=None) -> int:
     return int(n[0]) + (1 if frac > 0.5 else 0)
 
 
+# step cap of _bracketed_roots; the mismatch root-finds take 5 to 10 steps
+_ROOT_MAXITER = 100
+
+
+def _bracketed_roots(f, lo, hi, xatol: float, xrtol: float) -> tuple:
+    """Chandrupatla's bracketing root-find (Adv. Eng. Softw. 28, 1997, 145)
+    of the elementwise f on [lo, hi], with the steps of scipy's vectorized
+    version at fatol = frtol = 0; f sees the open brackets only.  Returns
+    (x, ok); ok is False where f(lo), f(hi) share a sign or the bracket is
+    not done in _ROOT_MAXITER steps."""
+    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f1, f2 = f(x1), f(x2)
+    x3, f3 = x2, f2  # fails Chandrupatla's test, so the first step bisects
+    root, ok = np.full(x1.size, np.nan), np.zeros(x1.size, dtype=bool)
+    todo = np.arange(x1.size)
+    for step in range(_ROOT_MAXITER + 1):
+        # done: f = 0 at x_best (the end of smaller |f|), or dx below tol
+        better = np.abs(f1) < np.abs(f2)
+        xb, fb = np.where(better, x1, x2), np.where(better, f1, f2)
+        dx, tol = np.abs(x2 - x1), np.abs(xb) * xrtol + xatol
+        signed = np.sign(f1) * np.sign(f2) < 0
+        done = (fb == 0) | (signed & (dx < tol))
+        stop = done | ~signed
+        root[todo[stop]], ok[todo[stop]] = xb[stop], done[stop]
+        if step == _ROOT_MAXITER or stop.all():
+            break
+        todo, x1, x2, x3, f1, f2, f3, dx, tol = (
+            v[~stop] for v in (todo, x1, x2, x3, f1, f2, f3, dx, tol))
+        # inverse quadratic step where Chandrupatla's test accepts it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            t = np.where(((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1)),
+                         f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+        x = x1 + np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx) * (x2 - x1)
+        fx = f(x)
+        # x1 is the new point, x2 the end across the sign change from it
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+    return root, ok
+
+
 def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None) -> np.ndarray:
     """All xi_j of the Dirichlet problem, strictly increasing.
 
@@ -589,16 +626,15 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
         raise BracketError(f"the count does not isolate the states with node "
                            f"counts {todo.tolist()}")
 
-    tolerances = dict(xatol=1e-14, xrtol=1e-4 * opts.tol, fatol=0.0, frtol=0.0)
-    res = find_root(lambda t: _mismatch(prob, t), (lo, hi), tolerances=tolerances)
-    if np.any(res.status != 0):
-        k = int(np.argmax(res.status != 0))
-        wa, wb = (f[k] for f in res.f_bracket)
+    xi, ok = _bracketed_roots(lambda t: _mismatch(prob, t), lo, hi,
+                              xatol=1e-14, xrtol=1e-4 * opts.tol)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        wa, wb = _mismatch(prob, np.array([lo[k], hi[k]]))
         raise BracketError(
-            f"mismatch root-find failed with status {res.status[k]} for the "
-            f"state with node count {k} on [{lo[k]:.17g}, {hi[k]:.17g}]: "
-            f"W = ({wa:.3g}, {wb:.3g})")
-    return np.sort(res.x)
+            f"mismatch root-find failed for the state with node count {k} on "
+            f"[{lo[k]:.17g}, {hi[k]:.17g}]: W = ({wa:.3g}, {wb:.3g})")
+    return np.sort(xi)
 
 
 @dataclass

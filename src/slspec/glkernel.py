@@ -127,7 +127,7 @@ def phi_kernel(x: float, y: float, w: complex, tol: float = 1e-8) -> complex:
     return (w / math.pi) * (u_p * gp - u_m * gm)
 
 
-def phi_diag_derivative(x: float, w: complex, tol: float = 1e-8) -> complex:
+def phi_diag_derivative(x: float, w: complex) -> complex:
     """d/dx Phi(x, x, w), valid down to x = 0 where it equals w/2.
 
     Algebraically this is the two-integral representation

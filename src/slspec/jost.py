@@ -23,14 +23,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-# jost_identity_check runs the forward root-find, which loads scipy's
-# root-finding code on first use; loading it with this module keeps that cost
-# in the import, not in the first solve.
-import scipy.optimize.elementwise  # noqa: F401
 
-from .forward import SolverOptions, _state_profiles
+from .forward import SolverOptions, _state_profiles, eigenvalues
 from .potentials import Potential, eval_potential
-from .quadrature import simpson_weights
+from .quadrature import integral_with_power_tail, simpson_weights
 
 
 class JostError(RuntimeError):
@@ -135,7 +131,6 @@ def jost(p: Potential, omega: float, k: complex, tol: float = 1e-10,
 
 def jost_bound(p: Potential, omega: float) -> float:
     """The growth bound exp(2 sqrt(2) omega^2 int t Q dt) on |F|."""
-    from .quadrature import integral_with_power_tail
     if p.support_end is not None:
         x = np.linspace(0, p.support_end, 2001)
         itq = float(np.trapezoid(x * eval_potential(p, x, 0), x))
@@ -169,8 +164,6 @@ def jost_identity_check(p: Potential, omega: float, j: int,
     central differences of F along the imaginary axis (step well inside
     the gap), all five Jost solves on one shared grid.
     """
-    from .forward import eigenvalues
-
     xi = sd.xi if sd is not None else eigenvalues(p, omega, opts)
     if not 1 <= j <= len(xi):
         raise JostError(f"state index {j} outside 1..{len(xi)}")

@@ -38,8 +38,7 @@ def gauss_panels_geometric(a: float, b: float, first: float, nodes: int = 16,
     return (mid + half * gx[None, :]).ravel(), (half * gw[None, :]).ravel()
 
 
-def integral_with_power_tail(f, T: float, nodes: int = 16, npanel: int = 48,
-                             h: float = 1e-3):
+def integral_with_power_tail(f, T: float, nodes: int = 16, h: float = 1e-3):
     """int_0^inf f with f eventually ~ x^-p: quadrature on [0, T] plus a
     local-power-law tail estimate  f(T) * T / (p - 1)  with p fitted at T.
 

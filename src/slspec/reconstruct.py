@@ -357,20 +357,25 @@ def _t_matrix_at(sd: SpectralData, kf: KernelField, i: int,
     return build_W(x, sd).entries + cross
 
 
+def _check_kernel_field(sd: SpectralData, kf: KernelField, x: float) -> None:
+    """The kernel field must reach x and be solved at w = omega^2 q0."""
+    if kf.grid[-1] < x - 1e-12:
+        raise ReconstructError("kernel field grid shorter than x")
+    w_expect = sd.omega ** 2 * sd.q0
+    if abs(kf.w - w_expect) > 1e-6 * max(1.0, abs(w_expect)):
+        raise ReconstructError(
+            f"kernel field solved at w={kf.w}, data implies w={w_expect}")
+
+
 def build_T(x: float, sd: SpectralData, kf: KernelField,
             _cache: Optional[tuple] = None) -> ScaledMatrix:
     """Scaled matrix T_{j,k}(x) = (4 xi_j^2/C_j) delta + 4 int_0^x F_j F_k dt,
     evaluated at a kernel grid node (x must lie on kf.grid)."""
     _check_spectral(sd)
-    if kf.grid[-1] < x - 1e-12:
-        raise ReconstructError("kernel field grid shorter than x")
+    _check_kernel_field(sd, kf, x)
     i = int(round(x / (kf.grid[1] - kf.grid[0]))) if kf.n else 0
     if not math.isclose(kf.grid[i], x, rel_tol=0, abs_tol=1e-9 * max(1.0, x)):
         raise ReconstructError("build_T wants x on the kernel grid")
-    w_expect = sd.omega ** 2 * sd.q0
-    if abs(kf.w - w_expect) > 1e-6 * max(1.0, abs(w_expect)):
-        raise ReconstructError(
-            f"kernel field solved at w={kf.w}, data implies w={w_expect}")
     xi = sd.xi
     N = sd.count
     if N == 0:
@@ -413,6 +418,7 @@ def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = 
     X = float(grid[-1])
     if kf is None:
         kf = solve_kernel(X, w, n=n_kernel or default_kernel_n(X, w))
+    _check_kernel_field(sd, kf, X)
     # evaluate on kernel nodes nearest the requested grid
     snap = np.unique(np.clip(np.round(grid / (kf.grid[1] - kf.grid[0])), 0,
                              kf.n).astype(int))

@@ -343,8 +343,8 @@ def test_every_state_C_matches_fine_quadrature(q1):
         assert abs(prof.C / C_ref - 1) <= 1e-9, x
 
 
-@pytest.mark.parametrize("name", ["find_root", "brentq"])
-def test_solver_calls_go_through_module_names(monkeypatch, sw, name):
+@pytest.mark.parametrize("name", ["brentq"])
+def test_solver_calls_go_through_module_names(monkeypatch, name):
     # a tracer counts the solver's scipy calls by wrapping these names
     calls = [0]
     inner = getattr(fwd, name)
@@ -354,8 +354,49 @@ def test_solver_calls_go_through_module_names(monkeypatch, sw, name):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(fwd, name, counted)
-    if name == "brentq":
-        squarewell_oracle(10.0)
-    else:
-        forward(sw, 10.0)
+    squarewell_oracle(10.0)
     assert calls[0] > 0
+
+
+def test_bracketed_roots_step_as_scipy_find_root(q1):
+    # Chandrupatla's method as scipy takes it: the same roots to the bit,
+    # from the same number of mismatch calls
+    from scipy.optimize.elementwise import find_root
+
+    tols = dict(xatol=1e-14, xrtol=1e-14)
+    xi = np.array(_RECORDED["q1", 40.0][0])
+    pad = 0.3 * np.minimum(np.diff(xi, prepend=0.0), np.diff(xi, append=np.inf))
+    lo, hi = xi - pad, xi + pad
+    prob = fwd._Problem(q1, 40.0)
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return fwd._mismatch(prob, t)
+
+    x, ok = fwd._bracketed_roots(f, lo, hi, **tols)
+    ours, calls[:] = list(calls), []
+    res = find_root(f, (lo, hi), tolerances=dict(tols, fatol=0.0, frtol=0.0))
+    assert ok.all() and np.all(res.status == 0)
+    assert np.array_equal(x, res.x)
+    assert ours == calls
+
+    # the mismatch is nearly linear; t^9 - 2 is curved enough that
+    # Chandrupatla's test turns some interpolation steps into bisections
+    lo, hi = np.linspace(-3.0, 0.9, 40), np.linspace(1.3, 30.0, 40)
+    x, ok = fwd._bracketed_roots(lambda t: t ** 9 - 2.0, lo, hi, **tols)
+    res = find_root(lambda t: t ** 9 - 2.0, (lo, hi),
+                    tolerances=dict(tols, fatol=0.0, frtol=0.0))
+    assert ok.all() and np.array_equal(x, res.x)
+
+    # no sign change: not ok; a zero at a bracket end: that end, no step
+    _, ok = fwd._bracketed_roots(lambda t: (t - 1.0) ** 2 + 1.0, [0.0], [2.0], **tols)
+    assert not ok.any()
+    calls[:] = []
+
+    def line(t):
+        calls.append(t.size)
+        return t - 1.0
+
+    x, ok = fwd._bracketed_roots(line, [1.0, 0.0], [3.0, 1.0], **tols)
+    assert ok.all() and list(x) == [1.0, 1.0] and calls == [2, 2]

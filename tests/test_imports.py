@@ -36,14 +36,15 @@ def test_inverse_side_loads_no_forward_scipy():
 
 
 def test_jost_and_forward_leave_the_ode_stack_unloaded():
-    # the forward legs run on the Magnus propagator, so neither a forward
-    # solve nor the Jost identity check loads scipy's ODE code
+    # the forward legs run on the Magnus propagator and the root-find is the
+    # solver's own, so neither a forward solve nor the Jost identity check
+    # loads scipy's ODE or root-finding code
     res = _run("import importlib, slspec.jost\n"
                "F = importlib.import_module('slspec.forward')\n"
                "from slspec.potentials import builtin\n"
                "F.forward(builtin('square_well'), 10.0)\n"
                "slspec.jost_identity_check(builtin('square_well'), 10.0, 2)\n"
-               + _loaded(["scipy.integrate"]))
+               + _loaded(["scipy.integrate", "scipy.optimize"]))
     assert res["loaded"] == []
 
 

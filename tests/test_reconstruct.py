@@ -416,6 +416,17 @@ def test_glm_and_lax_levermore_never_call_mpmath(q4_sd20, monkeypatch):
         assert np.all(np.isfinite(res.Q_rec)) and np.all(np.isfinite(res.Q_int))
 
 
+def test_glm_rejects_a_kernel_field_that_does_not_fit(q4_sd20):
+    # a field short of the grid's end would drop the nodes past it, and one
+    # solved at another w would move Q_rec; both must raise, as in build_T
+    grid = np.linspace(0.0, 2.0, 9)
+    w = q4_sd20.omega ** 2 * q4_sd20.q0
+    with pytest.raises(ReconstructError, match="grid shorter than x"):
+        reconstruct_glm(q4_sd20, grid, kf=solve_kernel(1.0, w, n=64))
+    with pytest.raises(ReconstructError, match="data implies"):
+        reconstruct_glm(q4_sd20, grid, kf=solve_kernel(2.0, w / 4, n=64))
+
+
 def test_glm_empty_data_gives_kernel_baseline():
     sd = _sd([], [], omega=5.0)
     grid = np.linspace(0.0, 1.0, 17)
