@@ -7,10 +7,13 @@ equation
     f(k, x) = e^{ikx} + int_x^inf [sin(k(t-x))/k] V(t) f(k, t) dt,
 
 with V = -omega^2 Q, here in the gauged variable g = f e^{-ikx}, whose
-kernel (e^{2ik(t-x)} - 1)/(2ik) stays bounded for Im k >= 0.  On the grid,
-g at a node depends only on g at the nodes to its right, so g is marched
-inward from g = 1 at the last node, one row at a time in O(m) memory
-(Linz, Analytical and Numerical Methods for Volterra Equations, 1985).
+kernel K(d) = (e^{2ikd} - 1)/(2ik) stays bounded for Im k >= 0.  On the
+grid, g at a node depends only on g at the nodes to its right, so g is
+marched inward from g = 1 at the last node (Linz, Analytical and Numerical
+Methods for Volterra Equations, 1985).  The march costs O(m) time and memory
+on m nodes: the shift recurrence K(d + h) = e^{2ikh} K(d) + K(h) makes each
+row's quadrature sum O(1) work.  The grid's step is local, set by the faster
+of |k| and the potential's wavenumber omega sqrt(Q).
 
 Note the integral-equation kernel is sin(k(t-x))/k: with the opposite sign
 the equation's solution has zeros that are NOT the eigenvalues (checked
@@ -50,11 +53,18 @@ class JostSample:
 
 def _jost_grid(p: Potential, omega: float, k: complex, tol: float) -> np.ndarray:
     """Blocked uniform grid, dense where the phase or the potential moves,
-    geometric in block length, truncated where the kernel tail bound dies."""
+    geometric in block length, truncated where the kernel tail bound dies.
+
+    The first step resolves the faster of the phase e^{2ikx} and the local
+    wavenumber omega sqrt(Q) at the origin: it is taken from
+    max(1, |k|, omega sqrt(Q(0))), so a strong potential is not stepped at
+    the pace of a small |k|.
+    """
     kk = max(abs(k), 1e-12)
+    wave = max(1.0, kk, omega * math.sqrt(max(float(eval_potential(p, 0.0, 0)), 0.0)))
     if p.support_end is not None:
         X = p.support_end
-        h = min(0.05, 0.1 / max(1.0, kk))
+        h = min(0.05, 0.1 / wave)
         return np.linspace(0.0, X, max(16, int(math.ceil(X / h))) + 1)
     if p.decay is None:
         raise JostError("decay metadata missing: grid truncation undetermined")
@@ -63,7 +73,7 @@ def _jost_grid(p: Potential, omega: float, k: complex, tol: float) -> np.ndarray
     # tail of int min(t, 1/|k|) |V|:  om^2 a / ((k2-1) |k| X^(k2-1))
     X = (om2 * d.a / ((d.k2 - 1.0) * min(kk, 1.0) * max(tol, 1e-12))) ** (1.0 / (d.k2 - 1.0))
     X = min(max(X, 20.0), 5e4)
-    h0 = min(0.05, 0.06 / max(1.0, kk))
+    h0 = min(0.05, 0.06 / wave)
 
     def blocks(h0):
         """(a, b, n): n steps on [a, b], the blocks sharing their ends."""
@@ -89,9 +99,18 @@ def jost(p: Potential, omega: float, k: complex, tol: float = 1e-10,
 
     Block-Simpson Nystrom on the grid of _jost_grid, whose tail is cut where
     the kernel's tail bound falls below tol, marched inward from g = 1 at the
-    last node.  Row i's weights are composite Simpson (3/8-closed for odd
-    counts) on its partial uniform run [i, r], plus the saved weights of row
-    r, which starts the run to its right.
+    last node in O(m) time and memory.  Row i's weights are composite Simpson
+    (3/8-closed for odd counts) on its partial uniform run [i, r], plus the
+    saved weights of row r, which starts the run to its right.
+
+    Each row costs O(1) work by the kernel's shift recurrence
+    K(d + h) = rho K(d) + K(h), rho = e^{2ikh}: per parity of r - l the run
+    carries the sums of K(x_l - x_i) V_l g_l and of V_l g_l over l in (i, r],
+    and the 3/8 block's weights near r are applied as corrections.  The run
+    to the right enters through two numbers, A = g_r - 1 and
+    B = <w_r, V g[r:]>, as e^{2ik(x_r - x_i)} A + K(x_r - x_i) B.  For
+    Im k >= 0, |e^{2ikd}| <= 1 and |K(d)| <= d, so nothing overflows at
+    k = i xi on grids reaching 5e4.
     """
     k = complex(k)
     if k.imag < -1e-15:
@@ -101,9 +120,9 @@ def jost(p: Potential, omega: float, k: complex, tol: float = 1e-10,
     # node carries the left-limit value so block-Simpson integrates the
     # piece exactly
     x = grid if p.support_end is None else np.minimum(grid, p.support_end - 1e-12)
-    V = -omega * omega * eval_potential(p, x, 0)
+    V = (-omega * omega * eval_potential(p, x, 0)).tolist()
     m = len(grid)
-    steps = np.diff(grid)
+    steps = np.diff(grid).tolist()
     # uniform runs (j, r) of the blocked grid, left to right
     runs = []
     j = 0
@@ -113,19 +132,50 @@ def jost(p: Potential, omega: float, k: complex, tol: float = 1e-10,
             r += 1
         runs.append((j, r))
         j = r
-    g = np.ones(m, dtype=complex)
-    Vg = V * g                          # V_j g_j, filled in as g_j is found
-    tail = np.zeros(1)                  # weights of the row starting the next run
+    s = [0j] * m                        # g - 1
+    u = [0j] * m                        # V g
+    u[m - 1] = complex(V[m - 1])
+    A = B = 0j                          # the run to the right, folded at x_r
     for j, r in reversed(runs):
+        h = steps[j]
+        # K(n h) and e^{2ikn h} for the distances within the run
+        if abs(k) < 1e-12:
+            kd = (h * np.arange(r - j + 1)).tolist()
+            ek = [1.0] * (r - j + 1)
+        else:
+            z = 2j * k * h * np.arange(r - j + 1)
+            kd = (np.expm1(z) / (2j * k)).tolist()
+            ek = np.exp(z).tolist()
+        rho, kh, h3, h24 = ek[1], kd[1], h / 3.0, h / 24.0
+        # per parity of r - l (0: even, 1: odd), over l in (i, r]:
+        # P = sum K(x_l - x_i) u_l and Q = sum u_l
+        ur = u[r]
+        P0, P1, Q0, Q1 = kh * ur, 0j, ur, 0j
         for i in range(r - 1, j - 1, -1):
-            w = np.zeros(m - i)
-            w[: r - i + 1] = simpson_weights(r - i, steps[i])
-            w[r - i:] += tail
-            dx = grid[i + 1:] - grid[i]
-            K = dx if abs(k) < 1e-12 else (np.exp(2j * k * dx) - 1.0) / (2j * k)
-            g[i] = 1.0 + np.dot(w[1:], K * Vg[i + 1:])
-            Vg[i] = V[i] * g[i]
-        tail = w
+            n = r - i
+            if n & 1 == 0:              # Simpson on [i, r]
+                run = h3 * (4.0 * P1 + 2.0 * P0 - kd[n] * ur)
+            elif n == 1:                # trapezoid
+                run = 0.5 * h * kd[1] * ur
+            else:
+                # Simpson on [i, r - 3], 3/8 on [r - 3, r]: 24 w / h is 9, 27,
+                # 27, 17 at r, ..., r - 3 against the pattern's 32, 16, 32, 16
+                run = h3 * (4.0 * P0 + 2.0 * P1) + h24 * (
+                    -23.0 * kd[n] * ur + 11.0 * kd[n - 1] * u[r - 1]
+                    - 5.0 * kd[n - 2] * u[r - 2]
+                    + (kd[n - 3] * u[r - 3] if n >= 5 else 0.0))
+            si = run + ek[n] * A + kd[n] * B
+            ui = V[i] * (1.0 + si)
+            s[i], u[i] = si, ui
+            if n & 1:
+                Q1 += ui
+            else:
+                Q0 += ui
+            P0 = rho * P0 + kh * Q0
+            P1 = rho * P1 + kh * Q1
+        A = s[j]
+        B += complex(np.dot(simpson_weights(r - j, h), u[j:r + 1]))
+    g = 1.0 + np.asarray(s)
     return JostSample(k=k, F=complex(g[0]), iterations_used=1, grid=grid, g=g)
 
 

@@ -84,13 +84,14 @@ def test_identity_rejects_out_of_range(q1, q1_sd10):
         jost_identity_check(q1, 10.0, 99, sd=q1_sd10)
 
 
-def test_identity_at_omega_20_returns_for_every_state(q1, q1_sd20):
-    # every state gives a residual; j = 1..7 still miss 1e-3 because the
-    # grid step follows |k| and not the local wavenumber omega sqrt(Q)
-    res = [jost_identity_check(q1, 20.0, j, sd=q1_sd20).residual
-           for j in range(1, 11)]
-    assert all(math.isfinite(r) for r in res)
-    assert max(res[7:]) <= 1e-3
+@pytest.mark.parametrize("omega", [10.0, 20.0])
+def test_identity_holds_for_every_state(q1, q1_sd10, q1_sd20, omega):
+    # the grid's first step follows the local wavenumber omega sqrt(Q(0)):
+    # stepped by |k| alone, j = 1..7 at omega 20 reached residuals up to 20
+    sd = {10.0: q1_sd10, 20.0: q1_sd20}[omega]
+    res = [jost_identity_check(q1, omega, j, sd=sd).residual
+           for j in range(1, sd.count + 1)]
+    assert max(res) <= 1e-3
 
 
 @pytest.mark.parametrize("k", [50.0, 200.0, 100j, 1000j, 1e4j])
@@ -152,7 +153,7 @@ def _dense_g(p, omega, k, tol=1e-10):
 
 @pytest.mark.parametrize("name,omega,k", [
     ("q1", 10.0, 0.5j), ("q1", 10.0, 2.0), ("q1", 10.0, 14.0),
-    ("q1", 10.0, 1e4j), ("q1", 20.0, 0.002j),
+    ("q1", 10.0, 1e4j), ("q1", 20.0, 0.002j), ("q1", 10.0, 0.0),
     ("square_well", 3.0, 1j), ("square_well", 10.0, 2j),
 ])
 def test_march_matches_dense_triangular_solve(name, omega, k, q1, sw):
@@ -170,8 +171,27 @@ def test_march_memory_is_linear_in_grid(q1):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert m == 1483
+    assert m == 1573
     assert peak <= 64 * 16 * m
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+def test_march_matches_extended_precision_solve(q1):
+    # the same discrete system back-substituted in long double stands in for
+    # a 40-digit solve, which takes seconds even on an 849-point grid
+    omega, k = 20.0, 0.002j
+    grid = _jost_grid(q1, omega, k, 1e-10)
+    W = _per_row_weights(grid)
+    x = grid.astype(np.longdouble)
+    V = (-omega * omega * eval_potential(q1, grid, 0)).astype(np.longdouble)
+    k2 = 2j * np.clongdouble(k)
+    g_ref = np.ones(len(grid), dtype=np.clongdouble)
+    for i in range(len(grid) - 2, -1, -1):
+        K = np.expm1(k2 * (x[i + 1:] - x[i])) / k2
+        g_ref[i] = 1.0 + np.sum(W[i, i + 1:] * K * V[i + 1:] * g_ref[i + 1:])
+    g = jost(q1, omega, k).g
+    assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
 
 
 def _series_F(p, omega, k, tol=1e-10):
