@@ -10,10 +10,10 @@ definite with a rank-one x-derivative, M' = s v v^T, so
     d2/dx2 ln det M = 2 s v1^T M^-1 v - (s v^T M^-1 v)^2,   v1 = v',
 
 and one routine, `_rank_one_logdet`, serves them all in float64; only gl0,
-whose W entries have a closed form, escalates to mpmath on exact entries.
-Those entries come from N values e_s = expm1(-2 xi_s x), built with the
-extra digits that forming e_r - e_s costs, and one Cholesky on nested lists
-of mpf solves them.
+whose W entries have a closed form, escalates to an exact solve in the
+standard library's decimal arithmetic.  Its entries come from N values
+e_s = expm1(-2 xi_s x), built with the extra digits that forming e_r - e_s
+costs, and one Cholesky on nested lists of Decimal solves them.
 The identities hold verbatim on the scaled entries with v scaled by the same
 exp(-xi_j x) (the extracted log-scale is linear in x and drops out of the
 second derivative; for the primitive the baseline at x = 0 cancels it
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,7 +63,7 @@ class ScaledMatrix:
 class ReconstructionResult:
     """Q_rec and its primitive Q_int on grid.  flags marks nodes where the
     determinant family degenerated (their values are 0); escalated marks
-    nodes solved in mpmath on exact entries, which only gl0 has."""
+    nodes solved in decimal arithmetic on exact entries, which only gl0 has."""
     grid: np.ndarray
     Q_rec: np.ndarray
     Q_int: np.ndarray
@@ -125,48 +126,52 @@ def build_W(x: float, sd: SpectralData) -> ScaledMatrix:
 _COND_FLOAT64 = 1e8
 
 
-def _mp_cholesky_forms(M: list, v: list, v1: list) -> tuple:
-    """(v^T M^-1 v, v1^T M^-1 v) in the working mpmath precision.
+def _exact_digits(n: int) -> int:
+    """Working digits of the exact solve of an n-state family."""
+    return max(50, 30 + int(2.6 * n))
 
-    One Cholesky L L^T = M, row by row on nested lists of mpf (only the upper
-    triangle of M is read), with y = L^-1 v and y1 = L^-1 v1 carried along by
-    forward substitution: v^T M^-1 v = y^T y and v1^T M^-1 v = y1^T y.  A
-    non-positive pivot raises SingularFamilyError.
+
+def _exact_cholesky_forms(M: list, v: list, v1: list) -> tuple:
+    """(v^T M^-1 v, v1^T M^-1 v) in the working decimal context.
+
+    One Cholesky L L^T = M, row by row on nested lists of Decimal (only the
+    upper triangle of M is read), with y = L^-1 v and y1 = L^-1 v1 carried
+    along by forward substitution: v^T M^-1 v = y^T y and v1^T M^-1 v = y1^T y.
+    A non-positive pivot raises SingularFamilyError.
     """
-    import mpmath as mp
     L, y, y1 = [], [], []
     for j in range(len(v)):
         Lj = []
         for k in range(j):
-            Lj.append((M[k][j] - mp.fdot(Lj, L[k])) / L[k][k])
-        d = M[j][j] - mp.fdot(Lj, Lj)
+            Lj.append((M[k][j] - sum(map(mul, Lj, L[k]))) / L[k][k])
+        d = M[j][j] - sum(map(mul, Lj, Lj))
         if not d > 0:
             raise SingularFamilyError(
                 "determinant family numerically singular at this node")
-        ljj = mp.sqrt(d)
-        y.append((v[j] - mp.fdot(Lj, y)) / ljj)
-        y1.append((v1[j] - mp.fdot(Lj, y1)) / ljj)
+        ljj = d.sqrt()
+        y.append((v[j] - sum(map(mul, Lj, y))) / ljj)
+        y1.append((v1[j] - sum(map(mul, Lj, y1))) / ljj)
         Lj.append(ljj)
         L.append(Lj)
-    return mp.fdot(y, y), mp.fdot(y1, y)
+    return sum(map(mul, y, y)), sum(map(mul, y1, y))
 
 
 def _rank_one_logdet(M: np.ndarray, v: np.ndarray, v1: np.ndarray, s: float,
-                     mp_entries=None) -> tuple:
+                     exact_entries=None) -> tuple:
     """(d/dx, d2/dx2) of ln det M for an SPD family with M' = s v v^T and
     M'' = s (v1 v^T + v v1^T):  d1 = s v^T M^-1 v, d2 = 2 s v1^T M^-1 v - d1^2.
-    Returns (d1, d2, exact), exact True when the solve ran on mp_entries.
+    Returns (d1, d2, exact), exact True when the solve ran on exact_entries.
 
     One Cholesky of the diagonally equilibrated M solves both forms.  Without
-    mp_entries that solve is final whatever its conditioning (rounded entries
-    hold no more digits); a failed Cholesky or a non-positive diagonal raises
-    SingularFamilyError.  Exact entries, mp_entries(mp) -> (M, v, v1) as
-    nested lists of mpf (M symmetric, its upper triangle read), escalate the
-    solve when the rcond estimate is below 1/_COND_FLOAT64 or the Cholesky
-    fails: the sinh Gramians' conditioning grows like e^(cN), which no
-    rescaling repairs, so the solve runs at max(50, 30 + 2.6 N) digits
-    (`_mp_cholesky_forms`).  mp_entries may build its entries with more
-    digits than that, but not fewer.
+    exact_entries that solve is final whatever its conditioning (rounded
+    entries hold no more digits); a failed Cholesky or a non-positive diagonal
+    raises SingularFamilyError.  Exact entries, exact_entries(prec) -> (M, v,
+    v1) as nested lists of Decimal (M symmetric, its upper triangle read),
+    escalate the solve when the rcond estimate is below 1/_COND_FLOAT64 or the
+    Cholesky fails: the sinh Gramians' conditioning grows like e^(cN), which
+    no rescaling repairs, so `_exact_cholesky_forms` runs in a decimal context
+    of prec = _exact_digits(N) digits, inside which exact_entries is called;
+    it may build its entries with more digits than prec, but not fewer.
     """
     d1 = None
     diag = np.diag(M)
@@ -177,20 +182,20 @@ def _rank_one_logdet(M: np.ndarray, v: np.ndarray, v1: np.ndarray, s: float,
             cf = cho_factor(Me)
         except LinAlgError:
             cf = None
-        if cf is not None and (mp_entries is None or dpocon(
+        if cf is not None and (exact_entries is None or dpocon(
                 cf[0], np.abs(Me).sum(axis=0).max())[0] > 1.0 / _COND_FLOAT64):
             z = cho_solve(cf, v * r)
             d1 = s * float((v * r) @ z)
             d2 = 2.0 * s * float((v1 * r) @ z) - d1 * d1
     exact = d1 is None
     if exact:
-        if mp_entries is None:
+        if exact_entries is None:
             raise SingularFamilyError("family not positive definite in float64")
-        import mpmath as mp
-        with mp.workdps(max(50, 30 + int(2.6 * len(v)))):
-            yy, y1y = _mp_cholesky_forms(*mp_entries(mp))
-            d1m = s * yy
-            d1, d2 = float(d1m), float(2 * s * y1y - d1m ** 2)
+        from decimal import Context, Decimal, localcontext
+        with localcontext(Context(prec=_exact_digits(len(v)))) as ctx:
+            yy, y1y = _exact_cholesky_forms(*exact_entries(ctx.prec))
+            d1m = Decimal(s) * yy
+            d1, d2 = float(d1m), float(2 * Decimal(s) * y1y - d1m ** 2)
     # s d1 = s^2 v^T M^-1 v >= 0 while M stays positive definite; a wrong
     # sign means the family degenerated
     if s * d1 < 0:
@@ -211,7 +216,8 @@ def _gl0_node(sd: SpectralData, x: float) -> tuple:
     8 max(xi)/min(gap) times the rounding of the first term, so the entries
     are built with log10 of that many more digits than the solve uses; they
     are then no less accurate than a per-entry expm1 build at the solve's
-    precision.
+    precision.  Decimal has no expm1: exp(y) - 1 loses -log10|y| digits, so
+    the exponentials take that many more again for the smallest |y|, xi_0's.
     """
     xi = sd.xi
     n = sd.count
@@ -219,16 +225,19 @@ def _gl0_node(sd: SpectralData, x: float) -> tuple:
     v1h = 0.5 * xi * (1.0 + np.exp(-2.0 * xi * x))
     pad = math.ceil(math.log10(8.0 * xi[-1] / np.diff(xi).min())) if n > 1 else 0
 
-    def build(mp):
-        with mp.workdps(mp.mp.dps + pad):
-            xx = mp.mpf(x)
-            xim = [mp.mpf(float(t)) for t in xi]
-            e = [mp.expm1(-2 * t * xx) for t in xim]
+    def build(prec):
+        from decimal import Context, Decimal, localcontext
+        with localcontext(Context(prec=prec + pad)) as ctx:
+            xx = Decimal(float(x))
+            xim = [Decimal(t) for t in xi.tolist()]
+            extra = max(0, -(2 * xim[0] * xx).adjusted())
+            with localcontext(Context(prec=ctx.prec + extra)):
+                e = [(-2 * t * xx).exp() - 1 for t in xim]
             W = [[None] * n for _ in range(n)]
             for s in range(n):
                 es, xs = e[s], xim[s]
                 W[s][s] = (-(2 * es + es * es) / (2 * xs)
-                           - (2 * xx - 4 * xs * xs / mp.mpf(float(sd.C[s]))) * (1 + es))
+                           - (2 * xx - 4 * xs * xs / Decimal(float(sd.C[s]))) * (1 + es))
                 for r in range(s + 1, n):
                     er, xr = e[r], xim[r]
                     W[s][r] = W[r][s] = (-(es + er + es * er) / (xs + xr)

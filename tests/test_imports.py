@@ -48,6 +48,19 @@ def test_jost_and_forward_leave_the_ode_stack_unloaded():
     assert res["loaded"] == []
 
 
+def test_gl0_exact_solve_leaves_mpmath_unloaded():
+    # the escalated gl0 nodes solve in the standard library's decimal, so
+    # mpmath is a test dependency only
+    data = SRC.parent / "perfbench" / "data" / "q1_omega40.json"
+    res = _run("import numpy as np\n"
+               "from slspec.reconstruct import reconstruct_gl0\n"
+               f"sd = slspec.SpectralData.from_json(open({str(data)!r}).read())\n"
+               "res = reconstruct_gl0(sd, np.linspace(0.0, 2.0, 81))\n"
+               "print(json.dumps({'file': slspec.__file__, "
+               "'escalated': int(res.escalated.sum()), 'mpmath': 'mpmath' in sys.modules}))")
+    assert res == {"escalated": 68, "mpmath": False}
+
+
 def test_every_public_name_resolves():
     res = _run("missing = [n for n in slspec.__all__ if not hasattr(slspec, n)]\n"
                "print(json.dumps({'file': slspec.__file__, 'missing': missing}))")

@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import mpmath as mp
@@ -124,15 +125,39 @@ def test_logdet_d2_scalar_families():
     assert abs(d2 - 1.0 / math.cosh(1.0) ** 2) < 1e-12
 
 
-def _mp_fd_logdet(S, v, v1, s, h=1e-5, mp_entries=None):
+def _mp(t):
+    """A Decimal, or nested lists of them, as mpf in the working precision
+    (through str, so no digit is lost on the way)."""
+    return [_mp(u) for u in t] if isinstance(t, list) else mp.mpf(str(t))
+
+
+def _mp_cholesky_forms(M, v, v1):
+    """Reference (v^T M^-1 v, v1^T M^-1 v) in the working mpmath precision:
+    the exact solve's Cholesky, row by row on nested lists of mpf."""
+    L, y, y1 = [], [], []
+    for j in range(len(v)):
+        Lj = []
+        for k in range(j):
+            Lj.append((M[k][j] - mp.fdot(Lj, L[k])) / L[k][k])
+        ljj = mp.sqrt(M[j][j] - mp.fdot(Lj, Lj))
+        y.append((v[j] - mp.fdot(Lj, y)) / ljj)
+        y1.append((v1[j] - mp.fdot(Lj, y1)) / ljj)
+        Lj.append(ljj)
+        L.append(Lj)
+    return mp.fdot(y, y), mp.fdot(y1, y)
+
+
+def _mp_fd_logdet(S, v, v1, s, h=1e-5, exact_entries=None):
     """Central differences (d1, d2) at t = 0 of ln det of the rank-one family
     S + s (t v v^T + t^2/2 (v1 v^T + v v1^T)), built in 50-digit mpmath on
-    the float64 arrays, or on mp_entries(mp) -> (S, v, v1) when given."""
+    the float64 arrays, or on exact_entries(50) -> (S, v, v1) when given."""
     with mp.workdps(50):
-        if mp_entries is None:
+        if exact_entries is None:
             Sm, vm, v1m = mp.matrix(S.tolist()), mp.matrix(v.tolist()), mp.matrix(v1.tolist())
         else:
-            Sm, vm, v1m = (mp.matrix(t) for t in mp_entries(mp))
+            with localcontext(Context(prec=50)):
+                ents = exact_entries(50)
+            Sm, vm, v1m = (mp.matrix(_mp(t)) for t in ents)
         P = vm * vm.T
         Q = v1m * vm.T + vm * v1m.T
         hm = mp.mpf(h)
@@ -142,22 +167,22 @@ def _mp_fd_logdet(S, v, v1, s, h=1e-5, mp_entries=None):
 
 
 def _exact_hilbert(n, u, u1, calls):
-    """mp_entries for the Hilbert matrix 1/(i+j+1), exact in the working
-    precision, with v = H u and v1 = H u1, as nested lists; each call is
-    logged in calls."""
-    def entries(mp):
+    """exact_entries for the Hilbert matrix 1/(i+j+1), exact in the working
+    decimal context, with v = H u and v1 = H u1, as nested lists of Decimal;
+    each call is logged in calls."""
+    def entries(prec):
         calls.append(n)
-        H = [[mp.mpf(1) / (i + j + 1) for j in range(n)] for i in range(n)]
-        return (H, [mp.fdot(row, u.tolist()) for row in H],
-                [mp.fdot(row, u1.tolist()) for row in H])
+        H = [[Decimal(1) / (i + j + 1) for j in range(n)] for i in range(n)]
+        return (H, [sum(h * Decimal(c) for h, c in zip(row, u.tolist())) for row in H],
+                [sum(h * Decimal(c) for h, c in zip(row, u1.tolist())) for row in H])
     return entries
 
 
 def test_logdet_d2_matches_finite_differences_random():
     # random SPD S and the float64 Hilbert S (rcond ~1e-10 at n = 8, ~1e-16
     # at n = 12) take the float64 Cholesky path; the Hilbert S given exactly
-    # through mp_entries take the mpmath path.  v = S u keeps v^T S^-1 v of
-    # order one however ill-conditioned S is
+    # through exact_entries take the exact decimal path.  v = S u keeps
+    # v^T S^-1 v of order one however ill-conditioned S is
     rng = np.random.default_rng(7)
     cases = []
     for _ in range(6):
@@ -174,7 +199,7 @@ def test_logdet_d2_matches_finite_differences_random():
         s = (4.0, -1.0)[k % 2]
         calls = []
         entries = None if hu is None else _exact_hilbert(*hu, calls)
-        fd1, fd2 = _mp_fd_logdet(S, v, v1, s, mp_entries=entries)
+        fd1, fd2 = _mp_fd_logdet(S, v, v1, s, exact_entries=entries)
         d1, d2, exact = _rank_one_logdet(S, v, v1, s, entries)
         assert len(calls) == (0 if hu is None else 2)
         assert exact == (hu is not None)
@@ -282,22 +307,24 @@ def test_gl0_exact_entries_and_cholesky_match_references(case, monkeypatch):
         xi = np.linspace(0.5, 30.0, 14)
         sd = _sd(xi, np.exp(xi), omega=40.0)
     n = sd.count
-    dps = max(50, 30 + int(2.6 * n))
+    dps = R._exact_digits(n)
     real = R._rank_one_logdet
     built = []
 
-    def spy(M, v, v1, s, mp_entries=None):
-        built.append((v, v1, mp_entries))
-        return real(M, v, v1, s, mp_entries)
+    def spy(M, v, v1, s, exact_entries=None):
+        built.append((v, v1, exact_entries))
+        return real(M, v, v1, s, exact_entries)
 
     monkeypatch.setattr(R, "_rank_one_logdet", spy)
     for x in (1e-3, 0.05, 0.325, 1.0, 2.0):
         R._gl0_node(sd, x)
         vh, v1h, build = built.pop()
+        with localcontext(Context(prec=dps)):
+            entries = build(dps)
         with mp.workdps(dps):
-            W, v, v1 = build(mp)
             Wo = _per_entry_W(mp, sd.xi, sd.C, x)[0]
         with mp.workdps(dps + 40):
+            W, v, v1 = _mp(list(entries))
             Wr, vr, v1r = _per_entry_W(mp, sd.xi, sd.C, x)
             tol = mp.mpf(10) ** -(dps - 10)
             for s in range(n):
@@ -318,6 +345,32 @@ def test_gl0_exact_entries_and_cholesky_match_references(case, monkeypatch):
             d1r = float(d1r)
         assert abs(d1 - d1r) <= 1e-14 * abs(d1r)
         assert abs(d2 - d2r) <= 1e-14 * abs(d2r)
+
+
+@pytest.mark.parametrize("case", ["q1_omega40", "14_states"])
+def test_gl0_decimal_cholesky_matches_mpmath(case, monkeypatch):
+    # at every escalated node the decimal Cholesky's two forms agree with the
+    # mpmath Cholesky's on the same entries at the same digits
+    if case == "q1_omega40":
+        sd, grid = _bench_sd(), np.linspace(0.0, 2.0, 81)
+    else:
+        xi = np.linspace(0.5, 30.0, 14)
+        sd, grid = _sd(xi, np.exp(xi), omega=40.0), np.linspace(1.0, 1.4, 17)
+    real = R._exact_cholesky_forms
+    solved = []
+
+    def spy(M, v, v1):
+        forms = real(M, v, v1)
+        solved.append((M, v, v1, forms))
+        return forms
+
+    monkeypatch.setattr(R, "_exact_cholesky_forms", spy)
+    res = reconstruct_gl0(sd, grid)
+    assert len(solved) == int(res.escalated.sum()) > 0
+    with mp.workdps(R._exact_digits(sd.count)):
+        for M, v, v1, forms in solved:
+            for got, ref in zip(forms, _mp_cholesky_forms(_mp(M), _mp(v), _mp(v1))):
+                assert abs(_mp(got) - ref) <= 1e-15 * abs(ref)
 
 
 def test_gl0_primitive_is_derivative_of_logdet(q1_sd10):
@@ -403,9 +456,9 @@ def test_glm_and_lax_levermore_never_call_mpmath(q4_sd20, monkeypatch):
     # T and I + G carry float64 entries: an exact solve of rounded entries
     # adds no digits, so both maps solve in float64 alone
     def refuse(*args, **kwargs):
-        raise AssertionError("mpmath solve on float64 entries")
+        raise AssertionError("exact solve on float64 entries")
 
-    monkeypatch.setattr(R, "_mp_cholesky_forms", refuse)
+    monkeypatch.setattr(R, "_exact_cholesky_forms", refuse)
     sd = q4_sd20
     grid = np.linspace(0.0, 2.0, 9)
     eps = 1.0 / sd.omega
