@@ -14,9 +14,9 @@ attributes forward and jost are the functions, not the submodules.
 
 from .potentials import (Decay, Potential, PotentialError, builtin,
                          eval_potential, make_potential, validate_class)
-from .forward import (BracketError, ForwardError, SolverOptions, SpectralData,
-                      calogero_bounds, characteristic_values, count_above,
-                      count_states, eigenvalues, forward, squarewell_oracle)
+from .forward import (BracketError, ForwardError, SpectralData, calogero_bounds,
+                      characteristic_values, count_above, count_states,
+                      eigenvalues, forward, squarewell_oracle)
 from .wkb import (WkbError, WkbProfile, action, predicted_count,
                   spacing_check, theta_plus, turning_point, wkb_spectrum)
 from .glkernel import (KernelError, KernelField, coercivity_check, gh_values,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Decay", "Potential", "PotentialError", "builtin", "eval_potential",
     "make_potential", "validate_class",
-    "BracketError", "ForwardError", "SolverOptions", "SpectralData",
+    "BracketError", "ForwardError", "SpectralData",
     "calogero_bounds", "characteristic_values", "count_above", "count_states",
     "eigenvalues", "forward", "squarewell_oracle",
     "WkbError", "WkbProfile", "action", "predicted_count", "spacing_check",

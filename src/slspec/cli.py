@@ -20,7 +20,7 @@ import numpy as np
 from . import rates
 from . import reconstruct as rec
 from . import wkb
-from .forward import SolverOptions, SpectralData
+from .forward import DEFAULT_TOL, SpectralData
 from .forward import forward as forward_solve
 from .glkernel import solve_kernel
 from .potentials import Potential, PotentialError, make_potential
@@ -88,8 +88,7 @@ def _parse_complex(text: str) -> complex:
 
 def cmd_forward(args) -> int:
     p = load_potential(args.potential)
-    opts = SolverOptions(tol=args.tol) if args.tol is not None else None
-    sd = forward_solve(p, args.omega, opts, potential_id=args.potential)
+    sd = forward_solve(p, args.omega, args.tol, potential_id=args.potential)
     with open(args.out, "w") as fh:
         fh.write(sd.to_json())
         fh.write("\n")
@@ -137,6 +136,7 @@ def _reconstruct_once(sd, method: str, grid, ref, n_kernel):
     if method == "glm":
         return rec.reconstruct_glm(sd, grid, n_kernel=n_kernel, ref=ref)
     if method == "ll":
+        rec._check_spectral(sd)
         eps = 1.0 / sd.omega
         res = rec.lax_levermore(sd.xi * eps, sd.C, eps, grid)
         if ref is not None:
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("forward", help="compute (xi_j, C_j) spectral data")
     f.add_argument("--potential", required=True)
     f.add_argument("--omega", type=float, required=True)
-    f.add_argument("--tol", type=float, default=None)
+    f.add_argument("--tol", type=float, default=DEFAULT_TOL)
     f.add_argument("--out", required=True)
     f.set_defaults(fn=cmd_forward)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,11 +64,8 @@ class BracketError(ForwardError):
     """Eigenvalue bracket failure, reported with the oscillation-count diagnostic."""
 
 
-@dataclass
-class SolverOptions:
-    """Settings of the eigenvalue search: tol is the xi tolerance of the
-    mismatch root-find that finishes every state."""
-    tol: float = 1e-10
+# default xi tolerance of the mismatch root-find that finishes every state
+DEFAULT_TOL = 1e-10
 
 
 # decay margin, in e-folds of the level, past the truncation's turning point
@@ -184,9 +181,7 @@ class _Problem:
         return etas, 0.5 * (lo + hi)
 
     def x_plus(self, xi):
-        """Turning point of the level at xi (vectorized, from the table)."""
-        if self._xplus_table is None:
-            return np.zeros_like(np.asarray(xi, dtype=float)) + self.p.support_end
+        """Turning point of the level at xi, from the table (decaying Q only)."""
         etas, xps = self._xplus_table
         eta = np.clip(np.asarray(xi, dtype=float) / self.omega, etas[0], etas[-1])
         return np.interp(np.log(eta), np.log(etas), xps)
@@ -564,7 +559,7 @@ def _bracketed_roots(f, lo, hi, xatol: float, xrtol: float) -> tuple:
     return root, ok
 
 
-def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None) -> np.ndarray:
+def eigenvalues(p: Potential, omega: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All xi_j of the Dirichlet problem, strictly increasing.
 
     The state with node count i is the one eigenvalue between a point where
@@ -573,15 +568,14 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
     (one count over the _KSECT - 1 interior points of every open bracket per
     pass, each bracket narrowed to the adjacent pair of points that straddles
     its state) runs until every state's bracket holds that state alone.  One
-    vectorized root-find of the mismatch then brings every state to opts.tol.
+    vectorized root-find of the mismatch then brings every state to tol.
     The count changes only where the mismatch changes sign, so a root-find
     that does not converge is a fault, reported as a BracketError.
     """
-    opts = opts or SolverOptions()
     if not (math.isfinite(omega) and omega > 0):
         raise ForwardError(f"omega must be finite and positive, got {omega!r}")
-    if not (math.isfinite(opts.tol) and opts.tol > 0):
-        raise ForwardError(f"tol must be finite and positive, got {opts.tol!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ForwardError(f"tol must be finite and positive, got {tol!r}")
     prob = _Problem(p, omega)
     n_states = count_states(p, omega, _prob=prob)
     if n_states == 0:
@@ -627,7 +621,7 @@ def eigenvalues(p: Potential, omega: float, opts: Optional[SolverOptions] = None
                            f"counts {todo.tolist()}")
 
     xi, ok = _bracketed_roots(lambda t: _mismatch(prob, t), lo, hi,
-                              xatol=1e-14, xrtol=1e-4 * opts.tol)
+                              xatol=1e-14, xrtol=1e-4 * tol)
     if not ok.all():
         k = int(np.argmin(ok))
         wa, wb = _mismatch(prob, np.array([lo[k], hi[k]]))
@@ -720,10 +714,10 @@ def characteristic_values(p: Potential, omega: float, xi: Sequence) -> np.ndarra
     return np.array([s.C for s in profs])
 
 
-def forward(p: Potential, omega: float, opts: Optional[SolverOptions] = None,
+def forward(p: Potential, omega: float, tol: float = DEFAULT_TOL,
             potential_id: str = "") -> SpectralData:
-    """eigenvalues + characteristic_values packaged as SpectralData."""
-    xi = eigenvalues(p, omega, opts)
+    """eigenvalues (xi to tol) + characteristic_values packaged as SpectralData."""
+    xi = eigenvalues(p, omega, tol)
     C = characteristic_values(p, omega, xi) if len(xi) else np.empty(0)
     return SpectralData(
         omega=omega, xi=xi, C=C, q0=p.q0,
@@ -731,12 +725,13 @@ def forward(p: Potential, omega: float, opts: Optional[SolverOptions] = None,
     )
 
 
-def squarewell_oracle(omega: float, scan_per_pi: int = 48) -> SpectralData:
+def squarewell_oracle(omega: float) -> SpectralData:
     """Exact square-well spectrum from the transcendental eigencondition.
 
     Roots of  xi sin(nu) + nu cos(nu) = 0  with nu = sqrt(omega^2 - xi^2),
-    located by a nu-uniform scan plus bisection; C from the closed form
-    2 xi (omega^2 - xi^2) / (1 + xi).  Independent of the shooting path.
+    located by a nu-uniform scan (48 points per pi) plus bisection; C from
+    the closed form 2 xi (omega^2 - xi^2) / (1 + xi).  Independent of the
+    shooting path.
     """
     if omega < 1:
         raise ForwardError("squarewell_oracle needs omega >= 1")
@@ -746,7 +741,7 @@ def squarewell_oracle(omega: float, scan_per_pi: int = 48) -> SpectralData:
         xi = math.sqrt(max(x2, 0.0))
         return xi * math.sin(nu) + nu * math.cos(nu)
 
-    nus = np.linspace(1e-9, omega * (1 - 1e-12), max(8, int(scan_per_pi * omega / math.pi)))
+    nus = np.linspace(1e-9, omega * (1 - 1e-12), max(8, int(48 * omega / math.pi)))
     vals = np.array([h(v) for v in nus])
     roots = []
     for a, b, fa, fb in zip(nus[:-1], nus[1:], vals[:-1], vals[1:]):

@@ -205,9 +205,6 @@ class KernelField:
     def n(self) -> int:
         return len(self.grid) - 1
 
-    def slice_weights(self, i: int) -> np.ndarray:
-        return self.weights[i]
-
 
 # slices 1..15 take Simpson weights and are solved densely; from slice 16 on
 # the Gregory start corrections are the same for every slice
@@ -418,15 +415,16 @@ def _batched_residual(Phi, Acol, wts, kink, s0) -> float:
     return res
 
 
-def coercivity_check(X: float, w: complex, trials: int = 100, n: int = 128,
-                     seed: int = 0) -> float:
-    """min over random h of ||(I + K) h|| / ||h|| in the quadrature norm.
+def coercivity_check(X: float, w: complex, trials: int = 100) -> float:
+    """min over random h of ||(I + K) h|| / ||h|| in the quadrature norm, on
+    n = 128 intervals with the random generator seeded 0.
 
     The continuous operator satisfies ||(I+K) h|| >= ||h||; the discretized
     one should come out >= 1 - O(n^-2).
     """
     _check_w(w)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    n = 128
     Phi, _, _ = _phi_tables(X, w, n)
     wt = gregory_weights(n, X / n)
     best = 1.0

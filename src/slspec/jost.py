@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .forward import SolverOptions, _state_profiles, eigenvalues
+from .forward import _state_profiles, eigenvalues
 from .potentials import Potential, eval_potential
 from .quadrature import integral_with_power_tail, simpson_weights
 
@@ -93,13 +93,16 @@ def _jost_grid(p: Potential, omega: float, k: complex, tol: float) -> np.ndarray
     return np.unique(np.concatenate([np.linspace(a, b, n + 1) for a, b, n in blocks(h0)]))
 
 
-def jost(p: Potential, omega: float, k: complex, tol: float = 1e-10,
+_TAIL_TOL = 1e-10
+
+
+def jost(p: Potential, omega: float, k: complex,
          _grid: Optional[np.ndarray] = None) -> JostSample:
     """F(k) = f(k, 0) for Im k >= 0 from the gauged Volterra equation.
 
     Block-Simpson Nystrom on the grid of _jost_grid, whose tail is cut where
-    the kernel's tail bound falls below tol, marched inward from g = 1 at the
-    last node in O(m) time and memory.  Row i's weights are composite Simpson
+    the kernel's tail bound falls below _TAIL_TOL, marched inward from g = 1
+    at the last node in O(m) time and memory.  Row i's weights are composite Simpson
     (3/8-closed for odd counts) on its partial uniform run [i, r], plus the
     saved weights of row r, which starts the run to its right.
 
@@ -115,7 +118,7 @@ def jost(p: Potential, omega: float, k: complex, tol: float = 1e-10,
     k = complex(k)
     if k.imag < -1e-15:
         raise JostError("Jost function needs Im k >= 0")
-    grid = _jost_grid(p, omega, k, tol) if _grid is None else _grid
+    grid = _jost_grid(p, omega, k, _TAIL_TOL) if _grid is None else _grid
     # with compact support the grid ends exactly at the support: the final
     # node carries the left-limit value so block-Simpson integrates the
     # piece exactly
@@ -204,7 +207,6 @@ class IdentityReport:
 
 
 def jost_identity_check(p: Potential, omega: float, j: int,
-                        opts: Optional[SolverOptions] = None,
                         sd=None) -> IdentityReport:
     """Two-pipeline check of 4 xi_j^2 / C_j = -s_j^2 (dF/dk(i xi_j))^2.
 
@@ -214,7 +216,7 @@ def jost_identity_check(p: Potential, omega: float, j: int,
     central differences of F along the imaginary axis (step well inside
     the gap), all five Jost solves on one shared grid.
     """
-    xi = sd.xi if sd is not None else eigenvalues(p, omega, opts)
+    xi = sd.xi if sd is not None else eigenvalues(p, omega)
     if not 1 <= j <= len(xi):
         raise JostError(f"state index {j} outside 1..{len(xi)}")
     x = float(xi[j - 1])
@@ -225,7 +227,7 @@ def jost_identity_check(p: Potential, omega: float, j: int,
     prof = _state_profiles(p, omega, np.array([x]))[0]
     # one shared grid for all five evaluations: the discretization bias then
     # differentiates smoothly and the Richardson pair cancels it cleanly
-    shared = _jost_grid(p, omega, 1j * (x - h), 1e-10)
+    shared = _jost_grid(p, omega, 1j * (x - h), _TAIL_TOL)
     s0 = jost(p, omega, 1j * x, _grid=shared)
 
     def central(step):

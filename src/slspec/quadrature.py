@@ -22,14 +22,13 @@ def gauss_panels(a: float, b: float, npanel: int, nodes: int = 12):
     return (mid + half * gx[None, :]).ravel(), (half * gw[None, :]).ravel()
 
 
-def gauss_panels_geometric(a: float, b: float, first: float, nodes: int = 16,
-                           ratio: float = 2.0):
-    """Composite Gauss with geometrically growing panels, first panel [a, a+first]."""
+def gauss_panels_geometric(a: float, b: float, first: float, nodes: int = 16):
+    """Composite Gauss on panels that double in length, first panel [a, a+first]."""
     edges = [a]
     step = first
     while edges[-1] + step < b:
         edges.append(edges[-1] + step)
-        step *= ratio
+        step *= 2.0
     edges.append(b)
     edges = np.asarray(edges)
     gx, gw = gauss_rule(nodes)
@@ -38,20 +37,20 @@ def gauss_panels_geometric(a: float, b: float, first: float, nodes: int = 16,
     return (mid + half * gx[None, :]).ravel(), (half * gw[None, :]).ravel()
 
 
-def integral_with_power_tail(f, T: float, nodes: int = 16, h: float = 1e-3):
+def integral_with_power_tail(f, T: float):
     """int_0^inf f with f eventually ~ x^-p: quadrature on [0, T] plus a
     local-power-law tail estimate  f(T) * T / (p - 1)  with p fitted at T.
 
     The local exponent comes from a log-derivative finite difference, so the
     tail error is one power of T better than using declared decay bounds.
     """
-    x, w = gauss_panels_geometric(0.0, T, first=0.5, nodes=nodes)
+    x, w = gauss_panels_geometric(0.0, T, first=0.5)
     head = float(np.dot(w, f(x)))
     fT = float(f(np.asarray([T]))[0])
     if fT <= 0:
         return head, 0.0
-    f1 = float(f(np.asarray([T * (1 + h)]))[0])
-    p = -np.log(f1 / fT) / np.log1p(h)
+    f1 = float(f(np.asarray([T * (1 + 1e-3)]))[0])
+    p = -np.log(f1 / fT) / np.log1p(1e-3)
     if p <= 1.0001:
         return head, np.inf
     tail = fT * T / (p - 1.0)
@@ -87,20 +86,17 @@ _GREGORY_L = (1.0 / 12, 1.0 / 24, 19.0 / 720, 3.0 / 160, 863.0 / 60480,
               275.0 / 24192)
 
 
-def gregory_weights(n: int, h: float, order: int = 8) -> np.ndarray:
-    """Endpoint-corrected trapezoid (Gregory) weights on n+1 uniform nodes.
-
-    Order = corrections + 2, up to 8; falls back to Simpson when the stencil
-    does not fit.  Weights stay positive through order 8.
+def gregory_weights(n: int, h: float) -> np.ndarray:
+    """Endpoint-corrected trapezoid (Gregory) weights of order 8 (six end
+    corrections) on n+1 uniform nodes; Simpson's below 16 intervals, where
+    the two ends' stencils do not fit.  The weights are positive.
     """
-    m = min(order, 8) - 2
-    if n < 2 * (m + 1) + 2:
+    if n < 16:
         return simpson_weights(n, h)
     w = np.full(n + 1, h)
     w[0] = w[-1] = 0.5 * h
     from math import comb
-    for j in range(1, m + 1):
-        L = _GREGORY_L[j - 1]
+    for j, L in enumerate(_GREGORY_L, start=1):
         for k in range(j + 1):
             c = h * L * (-1.0) ** k * comb(j, k)
             w[k] -= c

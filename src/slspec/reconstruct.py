@@ -79,11 +79,18 @@ class ReconstructionResult:
 
 
 def _check_spectral(sd: SpectralData) -> None:
-    if sd.count and np.any(np.diff(sd.xi) <= 0):
+    """Reject data no inverse map can use, such as a malformed JSON file."""
+    if not (math.isfinite(sd.omega) and sd.omega > 0):
+        raise ReconstructError(f"omega must be finite and positive, got {sd.omega!r}")
+    if len(sd.C) != sd.count:
+        raise ReconstructError(f"{sd.count} xi but {len(sd.C)} characteristic values")
+    if not np.all(np.isfinite(sd.xi) & (sd.xi > 0)):
+        raise ReconstructError("xi must be finite and positive")
+    if np.any(np.diff(sd.xi) <= 0):
         raise ReconstructError("xi must be strictly increasing (repeated "
                                "values make the difference term singular)")
-    if sd.count and np.any(sd.C <= 0):
-        raise ReconstructError("characteristic values must be positive")
+    if not np.all(np.isfinite(sd.C) & (sd.C > 0)):
+        raise ReconstructError("characteristic values must be finite and positive")
 
 
 def _exp_diff(xi: np.ndarray, x: float) -> np.ndarray:
@@ -328,7 +335,7 @@ def _scaled_transformed_sinh(sd: SpectralData, kf: KernelField) -> tuple:
     Fh = np.zeros((N, n + 1))
     F1h = np.zeros((N, n + 1))
     for i, t in enumerate(nodes):
-        wt = kf.slice_weights(i)
+        wt = kf.weights[i]
         ys = nodes[: i + 1]
         a = np.real(kf.A[i])
         b = np.real(kf.dA_dx[i])
@@ -355,7 +362,7 @@ def _t_matrix_at(sd: SpectralData, kf: KernelField, i: int,
     Ih, _, _ = cache
     xi = sd.xi
     x = kf.grid[i]
-    wt = kf.slice_weights(i)
+    wt = kf.weights[i]
     ts = kf.grid[: i + 1]
     grow = np.exp(xi[:, None] * (ts[None, :] - x))
     p = 0.5 * (grow - np.exp(-xi[:, None] * (ts[None, :] + x)))
@@ -376,8 +383,7 @@ def _check_kernel_field(sd: SpectralData, kf: KernelField, x: float) -> None:
             f"kernel field solved at w={kf.w}, data implies w={w_expect}")
 
 
-def build_T(x: float, sd: SpectralData, kf: KernelField,
-            _cache: Optional[tuple] = None) -> ScaledMatrix:
+def build_T(x: float, sd: SpectralData, kf: KernelField) -> ScaledMatrix:
     """Scaled matrix T_{j,k}(x) = (4 xi_j^2/C_j) delta + 4 int_0^x F_j F_k dt,
     evaluated at a kernel grid node (x must lie on kf.grid)."""
     _check_spectral(sd)
@@ -385,13 +391,10 @@ def build_T(x: float, sd: SpectralData, kf: KernelField,
     i = int(round(x / (kf.grid[1] - kf.grid[0]))) if kf.n else 0
     if not math.isclose(kf.grid[i], x, rel_tol=0, abs_tol=1e-9 * max(1.0, x)):
         raise ReconstructError("build_T wants x on the kernel grid")
-    xi = sd.xi
-    N = sd.count
-    if N == 0:
+    if sd.count == 0:
         return ScaledMatrix(np.empty((0, 0)), 0.0)
-    cache = _cache if _cache is not None else _scaled_transformed_sinh(sd, kf)
-    return ScaledMatrix(_t_matrix_at(sd, kf, i, cache),
-                        2.0 * x * float(xi.sum()))
+    return ScaledMatrix(_t_matrix_at(sd, kf, i, _scaled_transformed_sinh(sd, kf)),
+                        2.0 * x * float(sd.xi.sum()))
 
 
 def default_kernel_n(X: float, w: float) -> int:

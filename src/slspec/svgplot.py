@@ -7,10 +7,10 @@ from typing import Sequence
 _COLORS = ("#1965b0", "#dc050c", "#4eb265", "#f7a035", "#882e72")
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n, 2)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         if raw <= mult * mag:
@@ -26,20 +26,18 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 
 def line_plot(path: str, xs: Sequence, series: dict, title: str = "",
-              xlabel: str = "x", ylabel: str = "", logy: bool = False,
-              width: int = 720, height: int = 480) -> None:
-    """Write a single-panel SVG line plot; series maps label -> y-array."""
+              xlabel: str = "x", ylabel: str = "") -> None:
+    """Write a single-panel 720x480 SVG line plot; series maps label -> y-array."""
+    width, height = 720, 480
     xs = [float(v) for v in xs]
     data = {}
     for name, ys in series.items():
-        pts = [(x, float(y)) for x, y in zip(xs, ys)
-               if math.isfinite(float(y)) and (not logy or y > 0)]
+        pts = [(x, float(y)) for x, y in zip(xs, ys) if math.isfinite(float(y))]
         if pts:
             data[name] = pts
     if not data:
         raise ValueError("nothing plottable")
-    tr = (lambda v: math.log10(v)) if logy else (lambda v: v)
-    all_y = [tr(y) for pts in data.values() for _, y in pts]
+    all_y = [y for pts in data.values() for _, y in pts]
     all_x = [x for pts in data.values() for x, _ in pts]
     x0, x1 = min(all_x), max(all_x)
     y0, y1 = min(all_y), max(all_y)
@@ -56,7 +54,7 @@ def line_plot(path: str, xs: Sequence, series: dict, title: str = "",
         return ml + pw * (x - x0) / (x1 - x0)
 
     def py(y):
-        return mt + ph * (1 - (tr(y) - y0) / (y1 - y0))
+        return mt + ph * (1 - (y - y0) / (y1 - y0))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -72,10 +70,9 @@ def line_plot(path: str, xs: Sequence, series: dict, title: str = "",
         parts.append(f'<line x1="{X:.1f}" y1="{mt+ph}" x2="{X:.1f}" y2="{mt+ph+4}" stroke="#444"/>')
         parts.append(f'<text x="{X:.1f}" y="{mt+ph+18}" text-anchor="middle">{t:g}</text>')
     for t in _ticks(y0, y1):
-        Y = mt + ph * (1 - (t - y0) / (y1 - y0))
-        lab = f"1e{t:g}" if logy else f"{t:g}"
+        Y = py(t)
         parts.append(f'<line x1="{ml-4}" y1="{Y:.1f}" x2="{ml}" y2="{Y:.1f}" stroke="#444"/>')
-        parts.append(f'<text x="{ml-8}" y="{Y+4:.1f}" text-anchor="end">{lab}</text>')
+        parts.append(f'<text x="{ml-8}" y="{Y+4:.1f}" text-anchor="end">{t:g}</text>')
     parts.append(f'<text x="{ml+pw/2:.1f}" y="{height-10}" text-anchor="middle">{xlabel}</text>')
     if ylabel:
         parts.append(f'<text x="16" y="{mt+ph/2:.1f}" text-anchor="middle" '

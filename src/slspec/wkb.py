@@ -17,8 +17,6 @@ import numpy as np
 from .potentials import Potential, eval_potential
 from .quadrature import gauss_rule, gauss_panels_geometric, integral_with_power_tail
 
-LOG_S_OVERFLOW = 700.0
-
 
 class WkbError(ValueError):
     pass
@@ -34,21 +32,8 @@ class WkbProfile:
     log_s: np.ndarray
     predicted_count: int
 
-    @property
-    def s(self) -> np.ndarray:
-        return np.exp(np.minimum(self.log_s, LOG_S_OVERFLOW))
 
-    @property
-    def xi(self) -> np.ndarray:
-        """Implied whole-line level positions omega*eta, ascending.
-
-        Both parities of the even extension are listed; dirichlet_levels()
-        selects the subsequence that solves the half-line problem.
-        """
-        return (self.eta / self.epsilon)[::-1]
-
-
-def turning_point(p: Potential, eta: float, rtol: float = 1e-14) -> float:
+def turning_point(p: Potential, eta: float) -> float:
     """Unique x >= 0 with Q(x) = eta^2, by bisection on the monotone profile."""
     q0 = p.q0
     e2 = eta * eta
@@ -64,7 +49,7 @@ def turning_point(p: Potential, eta: float, rtol: float = 1e-14) -> float:
         if hi > 1e12:
             raise WkbError("turning point search exceeded x = 1e12")
     lo = 0.0
-    while hi - lo > rtol * max(hi, 1.0):
+    while hi - lo > 1e-14 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         if eval_potential(p, mid, 0) > e2:
             lo = mid
@@ -73,7 +58,7 @@ def turning_point(p: Potential, eta: float, rtol: float = 1e-14) -> float:
     return 0.5 * (lo + hi)
 
 
-def action(p: Potential, eta: float, nodes: int = 128) -> float:
+def action(p: Potential, eta: float) -> float:
     """Whole-line action 2 int_0^{x_plus} sqrt(Q - eta^2) dy.
 
     The square-root turning-point singularity is removed by the y = x_plus
@@ -92,7 +77,7 @@ def action(p: Potential, eta: float, nodes: int = 128) -> float:
         return 2.0 * (head + tail)
     xp = turning_point(p, eta)
     e2 = eta * eta
-    gx, gw = gauss_rule(nodes)
+    gx, gw = gauss_rule(128)
 
     def theta_part(th_lo, th_hi):
         th = 0.5 * (th_lo + th_hi) + 0.5 * (th_hi - th_lo) * gx
@@ -110,13 +95,13 @@ def action(p: Potential, eta: float, nodes: int = 128) -> float:
     return 2.0 * integral
 
 
-def theta_plus(p: Potential, eta: float, nodes: int = 160) -> float:
+def theta_plus(p: Potential, eta: float) -> float:
     """Norming exponent eta x_plus + int_{x_plus}^inf (eta - sqrt(eta^2 - Q))."""
     if eta <= 0:
         raise WkbError("theta_plus needs eta > 0")
     xp = turning_point(p, eta)
     e2 = eta * eta
-    gx, gw = gauss_rule(nodes)
+    gx, gw = gauss_rule(160)
     # y = x_plus / sin(theta) maps (0, pi/2] to [x_plus, inf)
     th = 0.25 * math.pi * (gx + 1.0)
     w = 0.25 * math.pi * gw

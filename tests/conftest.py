@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slspec import SolverOptions, forward
+from slspec import forward
 from slspec.potentials import builtin
 
 

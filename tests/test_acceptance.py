@@ -31,13 +31,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from slspec import (SolverOptions, calogero_bounds, characteristic_values,
+from slspec import (calogero_bounds, characteristic_values,
                     coercivity_check, convergence_report, eigenvalues,
                     forward, jost_identity_check, lax_levermore,
                     phi_diag_derivative, reconstruct_gl0, reconstruct_glm,
                     solve_kernel, squarewell_oracle, vitushkin_c_inf,
                     vitushkin_c_l1, wkb_spectrum)
-from slspec.forward import SpectralData, _mismatch, _Problem
+from slspec.forward import DEFAULT_TOL, SpectralData, _mismatch, _Problem
 from slspec.reconstruct import _rank_one_logdet, build_W
 
 
@@ -163,7 +163,7 @@ def test_q1_xi_resolved_to_tol_above_omega_25(q1, q1_sweep):
     # every returned xi lies within 2 tol of a root of the Wronskian mismatch;
     # the roots of an RK4 Pruefer phase at 60 steps per radian are off by up
     # to 4.8e-4 at omega 40 and 5.0e-3 at omega 80
-    tol = SolverOptions().tol
+    tol = DEFAULT_TOL
     for om in (40.0, 80.0):
         xi = q1_sweep[om].xi
         w_lo, w_hi = np.split(_mismatch(_Problem(q1, om),

@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from slspec import rates
+from slspec import reconstruct as rec
 from slspec.cli import main
+from slspec.potentials import eval_potential
 
 
 def run(args):
@@ -94,6 +97,18 @@ def test_forward_rejects_tol_not_positive(tmp_path, capsys, tol):
     assert err["error"]["module"] == "forward"
 
 
+def test_forward_tol_is_passed_through(tmp_path, q1_sd10):
+    # without --tol the file is forward's own output at the default tol
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["forward", "--potential", "q1_rational", "--omega", 10, "--out", a]) == 0
+    assert a.read_text() == q1_sd10.to_json() + "\n"
+    assert run(["forward", "--potential", "q1_rational", "--omega", 10,
+                "--tol", "1e-6", "--out", b]) == 0
+    xi = np.array(json.loads(b.read_text())["xi"])
+    assert len(xi) == q1_sd10.count
+    assert np.max(np.abs(xi - q1_sd10.xi)) <= 2e-6
+
+
 @pytest.mark.parametrize("omega", ["0", "-5", "nan"])
 def test_forward_rejects_omega_not_positive(tmp_path, capsys, omega):
     rc = run(["forward", "--potential", "q1", "--omega", omega,
@@ -113,6 +128,55 @@ def test_schema_version_rejected(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "version" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("method", ["gl0", "glm", "ll"])
+def test_reconstruct_rejects_malformed_spectral_data(tmp_path, capsys, method):
+    # three xi and one C: C would broadcast and the map would run
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"version": 1, "omega": 10.0, "xi": [0.5, 1.0, 2.0],
+                               "C": [1.0], "q0": 1.0}))
+    rc = run(["reconstruct", "--spectral", bad, "--method", method,
+              "--grid", "0:1:8", "--out", tmp_path / "r.csv"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert (err["module"], err["operation"]) == ("reconstruct", "reconstruct")
+
+
+@pytest.mark.parametrize("method", ["glm", "ll"])
+def test_reconstruct_methods_match_the_library(tmp_path, q1, q1_sd10, method):
+    spath, rpath = tmp_path / "s.json", tmp_path / "r.csv"
+    spath.write_text(q1_sd10.to_json())
+    assert run(["reconstruct", "--spectral", spath, "--method", method,
+                "--grid", "0:2:17", "--ref", "q1", "--out", rpath]) == 0
+    sd, grid = q1_sd10, np.linspace(0.0, 2.0, 17)
+    if method == "glm":
+        res = rec.reconstruct_glm(sd, grid, ref=q1)
+    else:
+        eps = 1.0 / sd.omega
+        res = rec.lax_levermore(sd.xi * eps, sd.C, eps, grid)
+    rows = np.loadtxt(rpath, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(rows[:, 0], res.grid)
+    assert np.allclose(rows[:, 2], res.Q_rec, rtol=1e-11, atol=0)
+    assert np.allclose(rows[:, 1], eval_potential(q1, res.grid), rtol=1e-11, atol=0)
+    assert not rows[:, 6].any()
+
+
+def test_benchmark_jobs_and_plot(tmp_path):
+    # the CSV does not depend on the number of worker processes
+    outs = [tmp_path / "one.csv", tmp_path / "two.csv"]
+    for jobs, out in zip((1, 2), outs):
+        assert run(["benchmark", "--potential", "q1", "--omegas", "10,12,14",
+                    "--jobs", jobs, "--plot", "--out", out]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[1].with_suffix(".svg").read_text().startswith("<svg")
+
+
+def test_bounds_prints_the_constants(capsys):
+    assert run(["bounds", "--l", 1.5, "--s", 2]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"C_inf(1.5, 2) = {rates.vitushkin_c_inf(1.5, 2):.15e}",
+                     f"C_L1(1.5, 2)  = {rates.vitushkin_c_l1(1.5, 2):.15e}"]
 
 
 def test_config_file_potential(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from slspec.forward import (BracketError, ForwardError, SolverOptions,
+from slspec.forward import (BracketError, DEFAULT_TOL, ForwardError,
                             SpectralData, calogero_bounds,
                             characteristic_values, count_above, count_states,
                             eigenvalues, forward, squarewell_oracle,
@@ -261,14 +261,13 @@ def test_ksection_matches_recorded_values_in_few_sweeps(monkeypatch, kind, omega
 
     monkeypatch.setattr(fwd, "_node_counts", counted)
     p = builtin(kind)
-    opts = SolverOptions()
-    xi = eigenvalues(p, omega, opts)
+    xi = eigenvalues(p, omega)
     # one count of all points per pass, plus the zero-energy count and the
     # count at the ends; 4 (q1, 10), 6 (q1, 40) and 4 (square well) calls
     assert len(calls) <= 8
     xi_ref, C_ref = (np.array(v) for v in _RECORDED[kind, omega])
     assert len(xi) == len(xi_ref)
-    assert np.max(np.abs(xi - xi_ref)) <= 2 * opts.tol
+    assert np.max(np.abs(xi - xi_ref)) <= 2 * DEFAULT_TOL
     C = characteristic_values(p, omega, xi)
     assert np.max(np.abs(C - C_ref) / C_ref) <= 1e-9
 

@@ -287,7 +287,7 @@ def test_slice_weights_are_gregory_weights():
     n, h = 40, 2.0 / 40
     kf = solve_kernel(2.0, 4.0, n=n)
     for i in range(n + 1):
-        assert np.array_equal(kf.slice_weights(i), gregory_weights(i, h))
+        assert np.array_equal(kf.weights[i], gregory_weights(i, h))
 
 
 def test_solve_kernel_guards_still_fire():
@@ -316,7 +316,7 @@ def test_kernel_slice_norm_bound():
     sup_phi = max(abs(phi_kernel(a, b, w))
                   for a in np.linspace(0, 2, 9) for b in np.linspace(0, 2, 9))
     for i in (32, 64):
-        wt = kf.slice_weights(i)
+        wt = kf.weights[i]
         nrm = math.sqrt(float(np.real(np.dot(wt, np.abs(kf.A[i]) ** 2))))
         assert nrm <= math.sqrt(kf.grid[i]) * sup_phi * (1 + 1e-9)
 
@@ -331,7 +331,7 @@ def test_neumann_iterate_agreement():
     kf = solve_kernel(2.0, w, n=64)
     i = 48
     x = kf.grid[i]
-    wt = kf.slice_weights(i)
+    wt = kf.weights[i]
     ys = kf.grid[: i + 1]
     phi_row = np.array([phi_kernel(x, yy, w) for yy in ys])
     phi_mat = np.array([[phi_kernel(ss, yy, w) for yy in ys] for ss in ys])

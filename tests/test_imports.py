@@ -76,3 +76,21 @@ def test_jost_and_forward_are_the_functions(first):
                "'modules': [jost.__module__, forward.__module__]}))")
     assert res["kinds"] == ["function", "function"]
     assert res["modules"] == ["slspec.jost", "slspec.forward"]
+
+
+def test_tracer_patch_points_exist():
+    # the benchmark's traced runs patch these slspec names; one deleted or
+    # renamed fails here before a traced run does
+    bench = SRC.parent / "perfbench"
+    res = _run(f"sys.path.insert(0, {str(bench)!r})\n"
+               "import importlib, tracing\n"
+               "from slspec.potentials import builtin\n"
+               "tracer = tracing.Tracer()\n"
+               "tracer.install()\n"
+               "J = importlib.import_module('slspec.jost')\n"
+               "J.jost(builtin('square_well'), 3.0, 2j)\n"
+               "m = tracer.metrics()\n"
+               "print(json.dumps({'file': slspec.__file__, "
+               "'calls': m['jost.series_calls'], 'points': m['jost.grid_points'], "
+               "'evals': m['potentials.eval_calls']}))")
+    assert res["calls"] == 1 and res["points"] > 16 and res["evals"] > 0

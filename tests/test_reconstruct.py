@@ -89,9 +89,24 @@ def test_scaled_logdet_random_families(xis, x):
     assert abs(ld - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
-def test_build_w_rejects_repeated_xi():
+@pytest.mark.parametrize("xi, C, omega", [
+    pytest.param([1.0, 1.0], [2.0, 3.0], 5.0, id="repeated_xi"),
+    pytest.param([1.0, 2.0, 3.0], [2.0], 5.0, id="fewer_C_than_xi"),
+    pytest.param([1.0, 2.0], [2.0, 3.0], -3.0, id="omega_negative"),
+    pytest.param([1.0, 2.0], [2.0, 3.0], math.nan, id="omega_nan"),
+    pytest.param([math.nan, 2.0], [2.0, 3.0], 5.0, id="xi_nan"),
+    pytest.param([1.0, math.inf], [2.0, 3.0], 5.0, id="xi_inf"),
+    pytest.param([0.0, 2.0], [2.0, 3.0], 5.0, id="xi_zero"),
+    pytest.param([-1.0, 2.0], [2.0, 3.0], 5.0, id="xi_negative"),
+    pytest.param([1.0, 2.0], [2.0, math.nan], 5.0, id="C_nan"),
+    pytest.param([1.0, 2.0], [2.0, 0.0], 5.0, id="C_zero"),
+    pytest.param([1.0, 2.0], [2.0, -3.0], 5.0, id="C_negative"),
+])
+def test_build_w_rejects_repeated_xi(xi, C, omega):
+    # data read from JSON reaches the inverse maps unchecked otherwise: a
+    # short C would broadcast and a bad omega or xi give NaNs or odd errors
     with pytest.raises(ReconstructError):
-        build_W(1.0, _sd([1.0, 1.0], [2.0, 3.0]))
+        build_W(1.0, _sd(xi, C, omega=omega))
 
 
 def test_w_derivative_is_rank_one():
@@ -517,6 +532,44 @@ def test_lax_levermore_validation():
         lax_levermore([1.0], [-1.0], 0.1, [0.0, 1.0])
     with pytest.raises(ReconstructError):
         lax_levermore([1.0], [1.0], -0.1, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("method", ["gl0", "glm", "lax_levermore"])
+def test_a_singular_node_is_flagged_alone(method, q4, q4_sd20, monkeypatch):
+    # the node solve raises at node k only: k is flagged with Q_rec = Q_int
+    # = 0, every other node is unchanged, and the errors skip node k
+    sd, grid, k = q4_sd20, np.linspace(0.0, 1.0, 9), 3
+
+    def run():
+        if method == "gl0":
+            return reconstruct_gl0(sd, grid, ref=q4)
+        if method == "glm":
+            return reconstruct_glm(sd, grid, n_kernel=128, ref=q4)
+        eps = 1.0 / sd.omega
+        return R._attach_errors(lax_levermore(sd.xi * eps, sd.C, eps, grid), q4)
+
+    clean = run()
+    # lax_levermore's first solve is its x = 0 baseline, not a node
+    calls, target = [], k + (method == "lax_levermore")
+    solve = R._rank_one_logdet
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == target + 1:
+            raise R.SingularFamilyError("singular at this node")
+        return solve(*args)
+
+    monkeypatch.setattr(R, "_rank_one_logdet", failing)
+    res = run()
+    assert np.array_equal(clean.grid, res.grid) and not clean.flags.any()
+    assert np.flatnonzero(res.flags).tolist() == [k]
+    assert res.Q_rec[k] == 0.0 and res.Q_int[k] == 0.0
+    others = np.arange(len(res.grid)) != k
+    assert np.array_equal(res.Q_rec[others], clean.Q_rec[others])
+    assert np.array_equal(res.Q_int[others], clean.Q_int[others])
+    err = np.abs(res.Q_rec - res.Q_ref)
+    assert res.sup_error == np.max(err[others])
+    assert res.L1_error < np.trapezoid(err, res.grid)
 
 
 def test_scaled_entries_stay_bounded_at_large_xi_x():
