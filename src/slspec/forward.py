@@ -146,16 +146,15 @@ _KSECT = 12
 
 
 class _Problem:
-    """Turning-point table, truncation rule, and propagator meshes for one
-    (Q, omega)."""
+    """Turning points (one tabulation of Q in x, exact to one table cell),
+    truncation rule, and propagator meshes for one (Q, omega)."""
 
     def __init__(self, p: Potential, omega: float):
         if p.support_end is None and p.decay is None:
             raise ForwardError("decay metadata missing: truncation rule undetermined")
         self.p = p
         self.omega = omega
-        self.sq0 = math.sqrt(p.q0)
-        self.xi_max = omega * self.sq0
+        self.xi_max = omega * math.sqrt(p.q0)
         self.xi_floor = 1e-4 / omega
         self._xplus_table = self._build_xplus_table()
         self._meshes = []
@@ -164,27 +163,20 @@ class _Problem:
     def _build_xplus_table(self):
         if self.p.support_end is not None:
             return None
-        etas = np.geomspace(1e-12 / self.omega ** 2, self.sq0 * (1 - 1e-13), 320)
-        lo = np.zeros_like(etas)
-        hi = np.ones_like(etas)
-        e2 = etas * etas
-        for _ in range(60):
-            mask = eval_potential(self.p, hi, 0) > e2
-            if not mask.any():
-                break
-            hi = np.where(mask, 2 * hi, hi)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            inside = eval_potential(self.p, mid, 0) > e2
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        return etas, 0.5 * (lo + hi)
+        # 256 uniform cells on [0, 1), then ratio 1.01 out to _X_INF_CAP, cut
+        # one node past the lowest level _state_profiles asks for
+        n_geo = math.ceil(math.log(_X_INF_CAP) / math.log(1.01)) + 1
+        xs = np.append(np.arange(256) / 256.0, np.geomspace(1.0, _X_INF_CAP, n_geo))
+        q = eval_potential(self.p, xs, 0)
+        keep = np.append(True, q[:-1] >= (1e-2 * self.xi_floor / self.omega) ** 2)
+        return -np.log(q[keep]), xs[keep]
 
     def x_plus(self, xi):
-        """Turning point of the level at xi, from the table (decaying Q only)."""
-        etas, xps = self._xplus_table
-        eta = np.clip(np.asarray(xi, dtype=float) / self.omega, etas[0], etas[-1])
-        return np.interp(np.log(eta), np.log(etas), xps)
+        """x with Q(x) = (xi/omega)^2 (decaying Q only), linear in -ln Q
+        between table nodes.  Q is monotone, so it lies in the table cell of
+        the true turning point: off by at most 1/256 on [0, 1] and 1% relative
+        beyond.  np.interp clamps levels outside the table to its ends."""
+        return np.interp(-2.0 * np.log(xi / self.omega), *self._xplus_table)
 
     def x_stop(self, xi):
         """Right truncation: just past the turning point of the slightly
@@ -699,6 +691,14 @@ def _state_profiles(p: Potential, omega: float, xi: np.ndarray) -> list:
         with np.errstate(divide="ignore", invalid="ignore"):
             out.append((np.ldexp(1.0 / norm2, -2 * e[:n]), log_s, v / y - vr / yr))
     C, log_s, mism = (_richardson(a, b) for a, b in zip(*out))
+    if p.support_end is None:
+        # a posteriori: every match lies past its turning point, and C is a norm
+        bad = (om2 * eval_potential(p, x_m, 0) >= xi * xi) | ~(np.isfinite(C) & (C > 0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise BracketError(
+                f"state {k + 1} of {n} (xi = {xi[k]:.17g}): x_match = {x_m[k]:.6g} "
+                f"is not past the turning point or C = {C[k]:.3g} is not a norm")
     mism = np.where(np.isfinite(mism), np.abs(mism), np.inf)
     return [StateProfile(*map(float, row))
             for row in zip(xi, C, log_s, x_m, x_stop, mism)]

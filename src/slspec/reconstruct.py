@@ -475,12 +475,12 @@ def lax_levermore(eta: Sequence, c: Sequence, epsilon: float,
     eta = np.asarray(eta, dtype=float)
     c = np.asarray(c, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    if epsilon <= 0:
-        raise ReconstructError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ReconstructError(f"epsilon must be finite and positive, got {epsilon!r}")
     if len(eta) != len(c):
         raise ReconstructError("eta and c must pair up")
-    if len(eta) and (np.any(eta <= 0) or np.any(c <= 0)):
-        raise ReconstructError("eta and c must be positive")
+    if not np.all(np.isfinite(eta) & (eta > 0) & np.isfinite(c) & (c > 0)):
+        raise ReconstructError("eta and c must be finite and positive")
     if len(np.unique(eta)) != len(eta):
         # the matrix stays well defined (eta_j + eta_k > 0), but coincident
         # levels mean the norming data is degenerate

@@ -342,6 +342,16 @@ def test_every_state_C_matches_fine_quadrature(q1):
         assert abs(prof.C / C_ref - 1) <= 1e-9, x
 
 
+def test_match_inside_the_allowed_region_raises(monkeypatch, q1):
+    # a turning point placed too low puts deep states' x_match where
+    # omega^2 Q > xi^2; the profiles refuse rather than return their C
+    xi = np.array(_RECORDED["q1", 10.0][0])
+    half = fwd._Problem.x_plus
+    monkeypatch.setattr(fwd._Problem, "x_plus", lambda self, xi: 0.5 * half(self, xi))
+    with pytest.raises(BracketError, match="not past the turning point"):
+        characteristic_values(q1, 10.0, xi)
+
+
 @pytest.mark.parametrize("name", ["brentq"])
 def test_solver_calls_go_through_module_names(monkeypatch, name):
     # a tracer counts the solver's scipy calls by wrapping these names

@@ -534,6 +534,16 @@ def test_lax_levermore_validation():
         lax_levermore([1.0], [1.0], -0.1, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["eta", "c", "epsilon"])
+def test_lax_levermore_rejects_non_finite_input(field, bad):
+    # NaN passes a sign check, so finiteness is checked on its own
+    args = {"eta": [0.5, 1.0], "c": [1.0, 1.0], "epsilon": 0.1}
+    args[field] = bad if field == "epsilon" else [0.5, bad]
+    with pytest.raises(ReconstructError, match="must be finite"):
+        lax_levermore(args["eta"], args["c"], args["epsilon"], [0.0, 1.0])
+
+
 @pytest.mark.parametrize("method", ["gl0", "glm", "lax_levermore"])
 def test_a_singular_node_is_flagged_alone(method, q4, q4_sd20, monkeypatch):
     # the node solve raises at node k only: k is flagged with Q_rec = Q_int
