@@ -13,16 +13,13 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import rates
-from . import reconstruct as rec
 from . import wkb
 from .forward import DEFAULT_TOL, SpectralData
 from .forward import forward as forward_solve
-from .glkernel import solve_kernel
 from .potentials import Potential, PotentialError, make_potential
 from .svgplot import line_plot
 
@@ -112,6 +109,8 @@ def cmd_wkb(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from .glkernel import solve_kernel
+
     w = _parse_complex(args.w)
     kf = solve_kernel(args.X, w, n=args.n, tol=args.tol)
     with open(args.out, "w") as fh:
@@ -131,6 +130,8 @@ def cmd_kernel(args) -> int:
 
 
 def _reconstruct_once(sd, method: str, grid, ref, n_kernel):
+    from . import reconstruct as rec
+
     if method == "gl0":
         return rec.reconstruct_gl0(sd, grid, ref=ref)
     if method == "glm":
@@ -189,6 +190,8 @@ def cmd_benchmark(args) -> int:
     jobs = [(args.potential, om, args.method, args.X, args.npts, args.n_kernel)
             for om in omegas]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_benchmark_job, jobs))
     else:

@@ -32,7 +32,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
 from .forward import SpectralData
-from .glkernel import KernelField
+from . import glkernel
 from .potentials import Potential, eval_potential
 from .quadrature import gauss_rule
 
@@ -316,7 +316,7 @@ def reconstruct_gl0(sd: SpectralData, grid: Sequence,
 # ----------------------------------------------------------------------
 # kernel-corrected reconstruction
 
-def _scaled_transformed_sinh(sd: SpectralData, kf: KernelField) -> tuple:
+def _scaled_transformed_sinh(sd: SpectralData, kf: glkernel.KernelField) -> tuple:
     """Kernel-corrected sinh data at every kernel node, scaled by e^{-xi t}:
 
     I_j(t)  = int_0^t A(t,s) sh(xi_j s) ds            (the A-correction),
@@ -350,7 +350,7 @@ def _scaled_transformed_sinh(sd: SpectralData, kf: KernelField) -> tuple:
     return Ih, Fh, F1h
 
 
-def _t_matrix_at(sd: SpectralData, kf: KernelField, i: int,
+def _t_matrix_at(sd: SpectralData, kf: glkernel.KernelField, i: int,
                  cache: tuple) -> np.ndarray:
     """Scaled T at kernel node i: exact W part plus the A-cross quadratures.
 
@@ -373,7 +373,7 @@ def _t_matrix_at(sd: SpectralData, kf: KernelField, i: int,
     return build_W(x, sd).entries + cross
 
 
-def _check_kernel_field(sd: SpectralData, kf: KernelField, x: float) -> None:
+def _check_kernel_field(sd: SpectralData, kf: glkernel.KernelField, x: float) -> None:
     """The kernel field must reach x and be solved at w = omega^2 q0."""
     if kf.grid[-1] < x - 1e-12:
         raise ReconstructError("kernel field grid shorter than x")
@@ -383,7 +383,7 @@ def _check_kernel_field(sd: SpectralData, kf: KernelField, x: float) -> None:
             f"kernel field solved at w={kf.w}, data implies w={w_expect}")
 
 
-def build_T(x: float, sd: SpectralData, kf: KernelField) -> ScaledMatrix:
+def build_T(x: float, sd: SpectralData, kf: glkernel.KernelField) -> ScaledMatrix:
     """Scaled matrix T_{j,k}(x) = (4 xi_j^2/C_j) delta + 4 int_0^x F_j F_k dt,
     evaluated at a kernel grid node (x must lie on kf.grid)."""
     _check_spectral(sd)
@@ -407,7 +407,7 @@ def default_kernel_n(X: float, w: float) -> int:
 
 def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = None,
                     ref: Optional[Potential] = None,
-                    kf: Optional[KernelField] = None) -> ReconstructionResult:
+                    kf: Optional[glkernel.KernelField] = None) -> ReconstructionResult:
     """Kernel-plus-determinant reconstruction:
 
         Q(x) = (2/omega^2) [ -d/dx A(x,x) + d2/dx2 ln|det T(x)| ],
@@ -417,8 +417,6 @@ def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = 
     Nystrom weights; T'' uses the slice derivative of A from the
     differentiated integral equation, never finite differences.
     """
-    from .glkernel import solve_kernel
-
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise ReconstructError("grid must be strictly increasing")
@@ -429,7 +427,8 @@ def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = 
     w = om2 * sd.q0
     X = float(grid[-1])
     if kf is None:
-        kf = solve_kernel(X, w, n=n_kernel or default_kernel_n(X, w))
+        # looked up at call time, so a wrapper on glkernel.solve_kernel sees it
+        kf = glkernel.solve_kernel(X, w, n=n_kernel or default_kernel_n(X, w))
     _check_kernel_field(sd, kf, X)
     # evaluate on kernel nodes nearest the requested grid
     snap = np.unique(np.clip(np.round(grid / (kf.grid[1] - kf.grid[0])), 0,

@@ -61,10 +61,51 @@ def test_gl0_exact_solve_leaves_mpmath_unloaded():
     assert res == {"escalated": 68, "mpmath": False}
 
 
+def test_forward_side_loads_no_scipy(tmp_path):
+    # scipy.linalg belongs to the inverse side, which loads on first use: the
+    # forward solve, the Jost identity check and the forward and bounds
+    # subcommands load no scipy at all
+    out = tmp_path / "q1.json"
+    res = _run("import slspec.cli\n"
+               "q1 = slspec.builtin('q1')\n"
+               "slspec.forward(q1, 10.0)\n"
+               "slspec.jost_identity_check(q1, 10.0, 3)\n"
+               "slspec.cli.main(['forward', '--potential', 'q1', '--omega', '10', "
+               f"'--out', {str(out)!r}])\n"
+               "slspec.cli.main(['bounds', '--l', '1', '--s', '2'])\n"
+               "print(json.dumps({'file': slspec.__file__, "
+               "'scipy': sorted(m for m in sys.modules if m.startswith('scipy'))}))")
+    assert out.exists()
+    assert res["scipy"] == []
+
+
+INVERSE_SIDE = {
+    "glkernel": ["KernelError", "KernelField", "coercivity_check", "gh_values",
+                 "phi_diag_derivative", "phi_kernel", "solve_kernel"],
+    "reconstruct": ["ReconstructError", "ReconstructionResult", "ScaledMatrix",
+                    "SingularFamilyError", "build_T", "build_W", "lax_levermore",
+                    "reconstruct_gl0", "reconstruct_glm"],
+}
+
+
 def test_every_public_name_resolves():
-    res = _run("missing = [n for n in slspec.__all__ if not hasattr(slspec, n)]\n"
-               "print(json.dumps({'file': slspec.__file__, 'missing': missing}))")
+    # the inverse side resolves on first access: its submodules are modules,
+    # and each of its names is the very object its submodule defines
+    res = _run("kinds = {m: type(getattr(slspec, m)).__name__ "
+               f"for m in {list(INVERSE_SIDE)!r}}}\n"
+               f"foreign = [n for m, names in {INVERSE_SIDE!r}.items() for n in names\n"
+               "           if getattr(slspec, n) is not getattr(sys.modules['slspec.' + m], n)]\n"
+               "missing = [n for n in slspec.__all__ if not hasattr(slspec, n)]\n"
+               "print(json.dumps({'file': slspec.__file__, 'kinds': kinds, "
+               "'foreign': foreign, 'missing': missing}))")
+    assert res["kinds"] == {"glkernel": "module", "reconstruct": "module"}
+    assert res["foreign"] == []
     assert res["missing"] == []
+    star = _run("ns = {}\n"
+                "exec('from slspec import *', ns)\n"
+                "print(json.dumps({'file': slspec.__file__, "
+                "'unbound': [n for n in slspec.__all__ if n not in ns]}))")
+    assert star["unbound"] == []
 
 
 @pytest.mark.parametrize("first", ["", "import slspec.jost, slspec.forward",
