@@ -7,12 +7,12 @@ reconstructions of Q from the data, the small-dispersion determinant
 profile, and a benchmark harness for convergence rates.
 
 Importing the package loads numpy only.  The forward side is imported
-eagerly; the inverse side (glkernel, reconstruct) loads scipy.linalg, so its
-names and the two submodules resolve on first access, as does importing
-slspec.glkernel or slspec.reconstruct.  No forward solve or Jost identity
-check loads scipy; only wkb_spectrum and squarewell_oracle load
-scipy.optimize, for brentq.  The package attributes forward and jost are the
-functions, not the submodules.
+eagerly.  The inverse side (glkernel, reconstruct) needs scipy.linalg, so
+its names and the two submodules resolve on first access; scipy.linalg
+loads then, or on importing slspec.glkernel or slspec.reconstruct.  No
+forward solve or Jost identity check loads scipy; only wkb_spectrum and
+squarewell_oracle load scipy.optimize, for brentq.  The package attributes
+forward and jost are the functions, not the submodules.
 """
 
 import importlib
