@@ -10,9 +10,10 @@ Importing the package loads numpy only.  The forward side is imported
 eagerly.  The inverse side (glkernel, reconstruct) needs scipy.linalg, so
 its names and the two submodules resolve on first access; scipy.linalg
 loads then, or on importing slspec.glkernel or slspec.reconstruct.  No
-forward solve or Jost identity check loads scipy; only wkb_spectrum and
-squarewell_oracle load scipy.optimize, for brentq.  The package attributes
-forward and jost are the functions, not the submodules.
+forward solve, Jost identity check, WKB spectrum or square-well oracle loads
+scipy: all of them root-find with the solver's own forward._bracketed_roots.
+The package attributes forward and jost are the functions, not the
+submodules.
 """
 
 import importlib

@@ -41,8 +41,9 @@ from .quadrature import integral_with_power_tail
 SCHEMA_VERSION = 1
 
 
-# scipy loads on the first call of these, which a tracer may wrap;
-# squarewell_oracle calls brentq, and no forward path calls solve_ivp.
+# no slspec function calls these two: they remain only as the patch points of
+# perfbench/tracing.py (test_tracer_patch_points_exist checks them), and go
+# with its dead counters when the benchmark next changes.
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp."""
@@ -510,14 +511,15 @@ def count_states(p: Potential, omega: float, _prob=None) -> int:
 _ROOT_MAXITER = 100
 
 
-def _bracketed_roots(f, lo, hi, xatol: float, xrtol: float) -> tuple:
+def _bracketed_roots(f, lo, hi, xatol: float, xrtol: float, args=()) -> tuple:
     """Chandrupatla's bracketing root-find (Adv. Eng. Softw. 28, 1997, 145)
-    of the elementwise f on [lo, hi], with the steps of scipy's vectorized
-    version at fatol = frtol = 0; f sees the open brackets only.  Returns
-    (x, ok); ok is False where f(lo), f(hi) share a sign or the bracket is
-    not done in _ROOT_MAXITER steps."""
+    of the elementwise f(x, *args) on [lo, hi], with the steps of scipy's
+    vectorized version at fatol = frtol = 0; f sees the open brackets only,
+    and each of args (an array, one value per bracket) filtered with them.
+    Returns (x, ok); ok is False where f(lo), f(hi) share a sign or the
+    bracket is not done in _ROOT_MAXITER steps."""
     x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = f(x1, *args), f(x2, *args)
     x3, f3 = x2, f2  # fails Chandrupatla's test, so the first step bisects
     root, ok = np.full(x1.size, np.nan), np.zeros(x1.size, dtype=bool)
     todo = np.arange(x1.size)
@@ -532,8 +534,8 @@ def _bracketed_roots(f, lo, hi, xatol: float, xrtol: float) -> tuple:
         root[todo[stop]], ok[todo[stop]] = xb[stop], done[stop]
         if step == _ROOT_MAXITER or stop.all():
             break
-        todo, x1, x2, x3, f1, f2, f3, dx, tol = (
-            v[~stop] for v in (todo, x1, x2, x3, f1, f2, f3, dx, tol))
+        todo, x1, x2, x3, f1, f2, f3, dx, tol, *args = (
+            v[~stop] for v in (todo, x1, x2, x3, f1, f2, f3, dx, tol, *args))
         # inverse quadratic step where Chandrupatla's test accepts it
         with np.errstate(divide="ignore", invalid="ignore"):
             xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
@@ -542,7 +544,7 @@ def _bracketed_roots(f, lo, hi, xatol: float, xrtol: float) -> tuple:
                          f1 / (f1 - f2) * f3 / (f3 - f2)
                          - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
         x = x1 + np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx) * (x2 - x1)
-        fx = f(x)
+        fx = f(x, *args)
         # x1 is the new point, x2 the end across the sign change from it
         same = np.sign(fx) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
@@ -729,27 +731,27 @@ def squarewell_oracle(omega: float) -> SpectralData:
     """Exact square-well spectrum from the transcendental eigencondition.
 
     Roots of  xi sin(nu) + nu cos(nu) = 0  with nu = sqrt(omega^2 - xi^2),
-    located by a nu-uniform scan (48 points per pi) plus bisection; C from
-    the closed form 2 xi (omega^2 - xi^2) / (1 + xi).  Independent of the
-    shooting path.
+    located by a nu-uniform scan (48 points per pi) and finished by one call
+    of the solver's own root-find (_bracketed_roots) on every sign change; C
+    from the closed form 2 xi (omega^2 - xi^2) / (1 + xi).  Independent of
+    the shooting path.
     """
     if omega < 1:
         raise ForwardError("squarewell_oracle needs omega >= 1")
 
     def h(nu):
-        x2 = omega * omega - nu * nu
-        xi = math.sqrt(max(x2, 0.0))
-        return xi * math.sin(nu) + nu * math.cos(nu)
+        xi = np.sqrt(np.maximum(omega * omega - nu * nu, 0.0))
+        return xi * np.sin(nu) + nu * np.cos(nu)
 
     nus = np.linspace(1e-9, omega * (1 - 1e-12), max(8, int(48 * omega / math.pi)))
-    vals = np.array([h(v) for v in nus])
-    roots = []
-    for a, b, fa, fb in zip(nus[:-1], nus[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            roots.append(a)
-        elif fa * fb < 0:
-            roots.append(brentq(h, a, b, xtol=1e-14, rtol=1e-15))
-    xi = np.array(sorted(math.sqrt(omega * omega - nu * nu) for nu in roots))
+    vals = h(nus)
+    a, b, fa, fb = nus[:-1], nus[1:], vals[:-1], vals[1:]
+    cross = fa * fb < 0
+    nu, ok = _bracketed_roots(h, a[cross], b[cross], xatol=1e-14, xrtol=1e-15)
+    if not ok.all():
+        raise ForwardError(f"square-well root-find failed on "
+                           f"{int((~ok).sum())} of {ok.size} brackets")
+    xi = np.sort(np.sqrt(omega * omega - np.concatenate([a[fa == 0.0], nu]) ** 2))
     xi = xi[xi > 1e-9]
     C = 2.0 * xi * (omega * omega - xi * xi) / (1.0 + xi)
     return SpectralData(omega=omega, xi=xi, C=C, q0=1.0, q0_derivatives=(0.0,),

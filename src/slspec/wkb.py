@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .forward import _bracketed_roots
 from .potentials import Potential, eval_potential
 from .quadrature import gauss_rule, gauss_panels_geometric, integral_with_power_tail
 
@@ -143,33 +144,25 @@ def predicted_count(p: Potential, omega: float) -> int:
 
 
 def wkb_spectrum(p: Potential, omega: float) -> WkbProfile:
-    """Solve the quantization rule for all predicted levels at this omega."""
+    """Solve the quantization rule for all predicted levels at this omega, in
+    one call of the solver's own root-find (_bracketed_roots), each level
+    with its own target."""
     if omega < 1:
         raise WkbError("omega must be >= 1")
-    phi0 = action(p, 0.0)
-    n = int(math.floor(phi0 * omega / math.pi + 1e-9))
-    eps = 1.0 / omega
-    sq0 = math.sqrt(p.q0)
-    etas = np.empty(n)
-    from scipy.optimize import brentq
-
-    for j in range(1, n + 1):
-        target = (j - 0.5) * math.pi / omega
-        g = lambda e: action(p, e) - target
-        lo, hi = 1e-14, sq0 * (1 - 1e-14)
-        glo = phi0 - target
-        if glo <= 0:
-            raise WkbError(f"quantization target out of range for j={j}")
-        etas[j - 1] = brentq(g, lo, hi, xtol=1e-14, rtol=1e-15)
-
-    xps = np.array([turning_point(p, e) for e in etas])
-    acts = (np.arange(1, n + 1) - 0.5) * math.pi / omega
+    n = int(math.floor(action(p, 0.0) * omega / math.pi + 1e-9))
+    targets = (np.arange(1, n + 1) - 0.5) * math.pi / omega
+    etas, ok = _bracketed_roots(
+        lambda e, t: np.array([action(p, v) for v in e]) - t,
+        np.full(n, 1e-14), np.full(n, math.sqrt(p.q0) * (1 - 1e-14)),
+        xatol=1e-14, xrtol=1e-15, args=(targets,))
+    if not ok.all():
+        raise WkbError(f"quantization root-find failed for j={int(np.argmin(ok)) + 1}")
     thps = np.array([theta_plus(p, e) for e in etas])
     return WkbProfile(
-        epsilon=eps,
+        epsilon=1.0 / omega,
         eta=etas,
-        x_plus=xps,
-        action_values=acts,
+        x_plus=np.array([turning_point(p, e) for e in etas]),
+        action_values=targets,
         theta_plus=thps,
         log_s=omega * thps,
         predicted_count=n,
@@ -207,5 +200,7 @@ def spacing_check(profile: WkbProfile, omega: float, p: Optional[Potential] = No
         acts = np.array([action(p, e) for e in profile.eta])
         chain = acts[1:] - acts[:-1]
         dev = float(np.max(np.abs(chain - math.pi / omega)))
-    b_emp = float(-math.log(min_xi) / math.log(omega)) if min_xi > 0 else None
+    # min_xi ~ omega^-b says nothing at omega = 1, where log(omega) = 0
+    b_emp = (float(-math.log(min_xi) / math.log(omega))
+             if min_xi > 0 and omega != 1 else None)
     return SpacingReport(n, min_eta, min_xi, dev, b_emp)

@@ -352,21 +352,6 @@ def test_match_inside_the_allowed_region_raises(monkeypatch, q1):
         characteristic_values(q1, 10.0, xi)
 
 
-@pytest.mark.parametrize("name", ["brentq"])
-def test_solver_calls_go_through_module_names(monkeypatch, name):
-    # a tracer counts the solver's scipy calls by wrapping these names
-    calls = [0]
-    inner = getattr(fwd, name)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(fwd, name, counted)
-    squarewell_oracle(10.0)
-    assert calls[0] > 0
-
-
 def test_bracketed_roots_step_as_scipy_find_root(q1):
     # Chandrupatla's method as scipy takes it: the same roots to the bit,
     # from the same number of mismatch calls
@@ -397,6 +382,13 @@ def test_bracketed_roots_step_as_scipy_find_root(q1):
     res = find_root(lambda t: t ** 9 - 2.0, (lo, hi),
                     tolerances=dict(tols, fatol=0.0, frtol=0.0))
     assert ok.all() and np.array_equal(x, res.x)
+
+    # one target per bracket: args are filtered along with the open brackets
+    c = np.linspace(0.5, 40.0, 40)
+    x, ok = fwd._bracketed_roots(lambda t, c: t ** 9 - c, lo, hi, **tols, args=(c,))
+    res = find_root(lambda t, c: t ** 9 - c, (lo, hi), args=(c,),
+                    tolerances=dict(tols, fatol=0.0, frtol=0.0))
+    assert ok.all() and np.all(res.status == 0) and np.array_equal(x, res.x)
 
     # no sign change: not ok; a zero at a bracket end: that end, no step
     _, ok = fwd._bracketed_roots(lambda t: (t - 1.0) ** 2 + 1.0, [0.0], [2.0], **tols)

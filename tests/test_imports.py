@@ -63,19 +63,22 @@ def test_gl0_exact_solve_leaves_mpmath_unloaded():
 
 def test_forward_side_loads_no_scipy(tmp_path):
     # scipy.linalg belongs to the inverse side, which loads on first use: the
-    # forward solve, the Jost identity check and the forward and bounds
-    # subcommands load no scipy at all
-    out = tmp_path / "q1.json"
+    # forward solve, the Jost identity check, the WKB levels, the square-well
+    # oracle and the forward, wkb and bounds subcommands load no scipy at all
+    out, levels = tmp_path / "q1.json", tmp_path / "q1_wkb.csv"
     res = _run("import slspec.cli\n"
                "q1 = slspec.builtin('q1')\n"
                "slspec.forward(q1, 10.0)\n"
                "slspec.jost_identity_check(q1, 10.0, 3)\n"
                "slspec.cli.main(['forward', '--potential', 'q1', '--omega', '10', "
                f"'--out', {str(out)!r}])\n"
+               "slspec.cli.main(['wkb', '--potential', 'q1', '--omega', '10', "
+               f"'--out', {str(levels)!r}])\n"
+               "slspec.squarewell_oracle(10.0)\n"
                "slspec.cli.main(['bounds', '--l', '1', '--s', '2'])\n"
                "print(json.dumps({'file': slspec.__file__, "
                "'scipy': sorted(m for m in sys.modules if m.startswith('scipy'))}))")
-    assert out.exists()
+    assert out.exists() and levels.exists()
     assert res["scipy"] == []
 
 

@@ -111,7 +111,7 @@ def test_grid_is_sized_before_it_is_built(q1):
     assert peak <= 1_000_000
 
 
-def _per_row_weights(grid):
+def _per_row_weights_afresh(grid):
     """Reference: composite Simpson over [x_i, X], each row found afresh."""
     m = len(grid)
     W = np.zeros((m, m))
@@ -128,6 +128,32 @@ def _per_row_weights(grid):
             j = r
         W[i, i:] = w
     return W
+
+
+def _per_row_weights(grid):
+    """Composite Simpson over [x_i, X] for every row i: Simpson on row i's
+    first uniform run [x_i, x_r], plus row r's weights from r on, with the
+    rows built from the last one back."""
+    m = len(grid)
+    d = np.diff(grid)
+    W = np.zeros((m, m))
+    for i in range(m - 2, -1, -1):
+        # r: the first node after i whose next step leaves row i's step
+        off = np.abs(d[i + 1:] - d[i]) >= 1e-12 * max(1.0, d[i])
+        r = i + 1 + int(np.argmax(off)) if off.any() else m - 1
+        W[i, i:r + 1] = simpson_weights(r - i, d[i])
+        W[i, r:] += W[r, r:]
+    return W
+
+
+def test_per_row_weights_match_afresh_search():
+    # runs of 1 to 7 equal steps, with odd and even panel counts, then a
+    # stretch where every step differs
+    steps = np.concatenate([np.full(n, h) for n, h in
+                            ((5, 0.1), (1, 0.3), (4, 0.05), (2, 0.2), (7, 0.01),
+                             (3, 1.5), (6, 0.4))] + [0.02 * 1.3 ** np.arange(6)])
+    grid = np.concatenate([[0.0], np.cumsum(steps)])
+    assert np.array_equal(_per_row_weights(grid), _per_row_weights_afresh(grid))
 
 
 def _dense_g(p, omega, k, tol=1e-10):

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from slspec import wkb
 from slspec.forward import eigenvalues
+from slspec.potentials import make_potential
 from slspec.wkb import (WkbError, action, dirichlet_count, dirichlet_levels,
                         predicted_count, spacing_check, theta_plus,
                         turning_point, wkb_spectrum)
@@ -137,3 +138,21 @@ def test_spacing_check_reports(q1):
     rep1 = spacing_check(one, 10.0)
     assert not rep1.sufficient
     assert rep1.note == "insufficient levels"
+    # a wide well has 10 levels at omega = 1, where min_xi ~ omega^-b has no
+    # exponent to report
+    wide = make_potential({"kind": "user_closed_form",
+                           "fn": lambda x: 1.0 / (1.0 + np.asarray(x) ** 2 / 100.0) ** 2,
+                           "decay": {"a": 1e4, "k1": 4, "k2": 4}})
+    prof = wkb_spectrum(wide, 1.0)
+    rep = spacing_check(prof, 1.0, wide)
+    assert rep.n_levels == 10 and rep.sufficient
+    assert rep.empirical_exponent is None
+    assert rep.max_action_gap_dev < 1e-6
+
+
+def test_wkb_spectrum_raises_on_a_failed_level(monkeypatch, q1):
+    # a constant action changes sign on no level's bracket: the first level
+    # is named rather than returned as NaN
+    monkeypatch.setattr(wkb, "action", lambda p, eta: math.pi)
+    with pytest.raises(WkbError, match="j=1"):
+        wkb_spectrum(q1, 10.0)
