@@ -12,8 +12,12 @@ definite with a rank-one x-derivative, M' = s v v^T, so
 and one routine, `_rank_one_logdet`, serves them all in float64; only gl0,
 whose W entries have a closed form, escalates to an exact solve in the
 standard library's decimal arithmetic.  Its entries come from N values
-e_s = expm1(-2 xi_s x), built with the extra digits that forming e_r - e_s
-costs, and one Cholesky on nested lists of Decimal solves them.
+e_s = expm1(-2 xi_s x) and x-independent tables built once per call, with
+the extra digits that forming e_r - e_s costs, and one Cholesky on nested
+lists of Decimal solves them at a first guess of 20 + 1.3 N digits.  Each
+exact solve is certified by the condition number of its own factor and the
+cancellation in d2; a node left with fewer than 20 digits is solved again
+with the shortfall added.
 The identities hold verbatim on the scaled entries with v scaled by the same
 exp(-xi_j x) (the extracted log-scale is linear in x and drops out of the
 second derivative; for the primitive the baseline at x = 0 cancels it
@@ -28,7 +32,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dpocon
 
 from .forward import SpectralData
@@ -63,7 +67,10 @@ class ScaledMatrix:
 class ReconstructionResult:
     """Q_rec and its primitive Q_int on grid.  flags marks nodes where the
     determinant family degenerated (their values are 0); escalated marks
-    nodes solved in decimal arithmetic on exact entries, which only gl0 has."""
+    nodes solved in decimal arithmetic on exact entries, which only gl0 has.
+    gl0 also records each such node's working digits (exact_digits) and the
+    digits its certificate says the solve lost (exact_loss); the other nodes
+    read 0 and NaN there, and the other maps leave both None."""
     grid: np.ndarray
     Q_rec: np.ndarray
     Q_int: np.ndarray
@@ -74,6 +81,8 @@ class ReconstructionResult:
     L1_error_int: Optional[float] = None
     flags: np.ndarray = field(default=None)
     escalated: np.ndarray = field(default=None)
+    exact_digits: np.ndarray = field(default=None)
+    exact_loss: np.ndarray = field(default=None)
     Q_ref: np.ndarray = field(default=None)
     Q_int_ref: np.ndarray = field(default=None)
 
@@ -131,54 +140,89 @@ def build_W(x: float, sd: SpectralData) -> ScaledMatrix:
 
 
 _COND_FLOAT64 = 1e8
+# digits an exact node must keep after its certified loss: the 17 that
+# float64 needs and a margin of 3 for the estimate
+_CERTIFIED_DIGITS = 20
 
 
 def _exact_digits(n: int) -> int:
-    """Working digits of the exact solve of an n-state family."""
-    return max(50, 30 + int(2.6 * n))
+    """First guess of the working digits of the exact solve of an n-state
+    family; each solve's certificate decides whether they suffice."""
+    return 20 + 13 * n // 10
 
 
 def _exact_cholesky_forms(M: list, v: list, v1: list) -> tuple:
-    """(v^T M^-1 v, v1^T M^-1 v) in the working decimal context.
+    """(v^T M^-1 v, v1^T M^-1 v, L) in the working decimal context.
 
     One Cholesky L L^T = M, row by row on nested lists of Decimal (only the
-    upper triangle of M is read), with y = L^-1 v and y1 = L^-1 v1 carried
-    along by forward substitution: v^T M^-1 v = y^T y and v1^T M^-1 v = y1^T y.
+    upper triangle of M is read; row j of L holds its j + 1 entries up to the
+    diagonal), with y = L^-1 v and y1 = L^-1 v1 carried along by forward
+    substitution: v^T M^-1 v = y^T y and v1^T M^-1 v = y1^T y.  Each row
+    divides once, by its pivot; later rows multiply by the reciprocal.
     A non-positive pivot raises SingularFamilyError.
     """
-    L, y, y1 = [], [], []
+    L, rinv, y, y1 = [], [], [], []
     for j in range(len(v)):
         Lj = []
         for k in range(j):
-            Lj.append((M[k][j] - sum(map(mul, Lj, L[k]))) / L[k][k])
+            Lj.append((M[k][j] - sum(map(mul, Lj, L[k]))) * rinv[k])
         d = M[j][j] - sum(map(mul, Lj, Lj))
         if not d > 0:
             raise SingularFamilyError(
                 "determinant family numerically singular at this node")
         ljj = d.sqrt()
-        y.append((v[j] - sum(map(mul, Lj, y))) / ljj)
-        y1.append((v1[j] - sum(map(mul, Lj, y1))) / ljj)
+        rj = 1 / ljj
+        y.append((v[j] - sum(map(mul, Lj, y))) * rj)
+        y1.append((v1[j] - sum(map(mul, Lj, y1))) * rj)
         Lj.append(ljj)
         L.append(Lj)
-    return sum(map(mul, y, y)), sum(map(mul, y1, y))
+        rinv.append(rj)
+    return sum(map(mul, y, y)), sum(map(mul, y1, y)), L
+
+
+def _factor_loss(M: list, L: list) -> float:
+    """log10 cond1 of the diagonally equilibrated M, read off its factor.
+
+    With Le = D^-1/2 L, D the decimal diagonal of M, Me = Le Le^T and
+    cond1(Me) = ||Me||_1 ||Le^-T Le^-1||_1.  Le is rounded to float64 and
+    inverted there: a triangular inverse keeps its relative accuracy far
+    past 1/eps, so the estimate needs none of the factor's extra digits
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 8 and 15).
+    """
+    n = len(L)
+    Le = np.zeros((n, n))
+    Le[np.tril_indices(n)] = [float(t) for row in L for t in row]
+    Le /= np.sqrt([float(M[j][j]) for j in range(n)])[:, None]
+    # a non-finite Le (a diagonal below float64's range) gives a non-finite
+    # loss, which the caller rejects
+    Li = solve_triangular(Le, np.eye(n), lower=True, check_finite=False)
+    return math.log10(np.abs(Le @ Le.T).sum(axis=0).max()
+                      * np.abs(Li.T @ Li).sum(axis=0).max())
 
 
 def _rank_one_logdet(M: np.ndarray, v: np.ndarray, v1: np.ndarray, s: float,
                      exact_entries=None) -> tuple:
     """(d/dx, d2/dx2) of ln det M for an SPD family with M' = s v v^T and
     M'' = s (v1 v^T + v v1^T):  d1 = s v^T M^-1 v, d2 = 2 s v1^T M^-1 v - d1^2.
-    Returns (d1, d2, exact), exact True when the solve ran on exact_entries.
+    Returns (d1, d2, cert): cert is None when float64 solved the node, and
+    (digits, loss) when the solve ran on exact_entries.
 
     One Cholesky of the diagonally equilibrated M solves both forms.  Without
     exact_entries that solve is final whatever its conditioning (rounded
     entries hold no more digits); a failed Cholesky or a non-positive diagonal
     raises SingularFamilyError.  Exact entries, exact_entries(prec) -> (M, v,
-    v1) as nested lists of Decimal (M symmetric, its upper triangle read),
-    escalate the solve when the rcond estimate is below 1/_COND_FLOAT64 or the
-    Cholesky fails: the sinh Gramians' conditioning grows like e^(cN), which
-    no rescaling repairs, so `_exact_cholesky_forms` runs in a decimal context
-    of prec = _exact_digits(N) digits, inside which exact_entries is called;
-    it may build its entries with more digits than prec, but not fewer.
+    v1) as nested lists of Decimal (M symmetric, its upper triangle and
+    diagonal read), escalate the solve when the rcond estimate is below
+    1/_COND_FLOAT64 or the Cholesky fails: the sinh Gramians' conditioning
+    grows like e^(cN), which no rescaling repairs.  `_exact_cholesky_forms`
+    then runs in a decimal context of `digits` digits, first
+    _exact_digits(N), inside which exact_entries is called; it may build its
+    entries with more digits than prec, but not fewer.  Each solve is
+    certified: loss = log10 cond1 of the equilibrated M (`_factor_loss`)
+    plus log10((|2 s v1^T M^-1 v| + d1^2) / |d2|), the cancellation in d2.
+    When digits - loss falls below _CERTIFIED_DIGITS the node is solved
+    again with the shortfall added; a loss that is not finite raises
+    SingularFamilyError.
     """
     d1 = None
     diag = np.diag(M)
@@ -194,61 +238,105 @@ def _rank_one_logdet(M: np.ndarray, v: np.ndarray, v1: np.ndarray, s: float,
             z = cho_solve(cf, v * r)
             d1 = s * float((v * r) @ z)
             d2 = 2.0 * s * float((v1 * r) @ z) - d1 * d1
-    exact = d1 is None
-    if exact:
+    cert = None
+    if d1 is None:
         if exact_entries is None:
             raise SingularFamilyError("family not positive definite in float64")
         from decimal import Context, Decimal, localcontext
-        with localcontext(Context(prec=_exact_digits(len(v)))) as ctx:
-            yy, y1y = _exact_cholesky_forms(*exact_entries(ctx.prec))
-            d1m = Decimal(s) * yy
-            d1, d2 = float(d1m), float(2 * Decimal(s) * y1y - d1m ** 2)
+        digits = _exact_digits(len(v))
+        while True:
+            with localcontext(Context(prec=digits)):
+                Mx, vx, v1x = exact_entries(digits)
+                yy, y1y, L = _exact_cholesky_forms(Mx, vx, v1x)
+                d1m = Decimal(s) * yy
+                t = 2 * Decimal(s) * y1y
+                d1, d2 = float(d1m), float(t - d1m ** 2)
+            # the cancellation in d2 = t - d1^2, where |d2| <= |t| + d1^2: a
+            # zero d2 from non-zero terms lost every digit, from zero terms none
+            num = abs(float(t)) + d1 * d1
+            cancel = 0.0 if num == 0 else math.log10(num / abs(d2)) if d2 else math.inf
+            loss = _factor_loss(Mx, L) + cancel
+            if not math.isfinite(loss):
+                raise SingularFamilyError("exact solve lost every digit at this node")
+            short = _CERTIFIED_DIGITS + loss - digits
+            if short <= 0:
+                break
+            digits += math.ceil(short)
+        cert = (digits, loss)
     # s d1 = s^2 v^T M^-1 v >= 0 while M stays positive definite; a wrong
     # sign means the family degenerated
     if s * d1 < 0:
         raise SingularFamilyError("determinant family lost positivity")
-    return d1, d2, exact
+    return d1, d2, cert
 
 
-def _gl0_node(sd: SpectralData, x: float) -> tuple:
-    """(d1, d2, exact) of ln det W at x: W' = 4 v v^T with v = sh(xi x) e^{-xi x}.
-
-    The exact entries come from e_s = expm1(-2 xi_s x), one value per state:
-
-        W_sr = -(e_s + e_r + e_s e_r)/(xi_s + xi_r) - (e_r - e_s)/(xi_s - xi_r),
-        W_ss = -(2 e_s + e_s^2)/(2 xi_s) - (2x - 4 xi_s^2/C_s)(1 + e_s),
-        v = -e/2,  v1 = xi (2 + e)/2.
+def _gl0_tables(sd: SpectralData):
+    """x-independent decimal tables of gl0's exact entries, as a function of
+    the solve's precision prec: (pad, xi, isum, idiff, D) at prec + pad
+    digits, built once per precision.  Row s of isum holds 1/(xi_s + xi_r)
+    for r >= s (its first entry is 1/(2 xi_s)), row s of idiff holds
+    1/(xi_s - xi_r) for r > s, and D = 4 xi^2/C.
 
     Forming e_r - e_s from rounded e's adds an error of up to about
     8 max(xi)/min(gap) times the rounding of the first term, so the entries
-    are built with log10 of that many more digits than the solve uses; they
-    are then no less accurate than a per-entry expm1 build at the solve's
-    precision.  Decimal has no expm1: exp(y) - 1 loses -log10|y| digits, so
-    the exponentials take that many more again for the smallest |y|, xi_0's.
+    are built with pad = log10 of that many more digits than the solve uses;
+    they are then no less accurate than a per-entry expm1 build at the
+    solve's precision.
+    """
+    from decimal import Context, Decimal, localcontext
+    xi = sd.xi
+    n = sd.count
+    pad = math.ceil(math.log10(8.0 * xi[-1] / np.diff(xi).min())) if n > 1 else 0
+    built = {}
+
+    def tables(prec):
+        if prec not in built:
+            with localcontext(Context(prec=prec + pad)):
+                xim = [Decimal(t) for t in xi.tolist()]
+                isum = [[1 / (xs + xr) for xr in xim[s:]] for s, xs in enumerate(xim)]
+                idiff = [[1 / (xs - xr) for xr in xim[s + 1:]] for s, xs in enumerate(xim)]
+                D = [4 * t * t / Decimal(float(c)) for t, c in zip(xim, sd.C)]
+            built[prec] = (pad, xim, isum, idiff, D)
+        return built[prec]
+
+    return tables
+
+
+def _gl0_node(sd: SpectralData, x: float, tables) -> tuple:
+    """(d1, d2, cert) of ln det W at x: W' = 4 v v^T with v = sh(xi x) e^{-xi x}.
+
+    The exact entries come from e_s = expm1(-2 xi_s x), one value per state,
+    and the tables of `_gl0_tables(sd)`:
+
+        W_sr = -(e_s + e_r + e_s e_r)/(xi_s + xi_r) - (e_r - e_s)/(xi_s - xi_r),
+        W_ss = -(2 e_s + e_s^2)/(2 xi_s) - (2x - 4 xi_s^2/C_s)(1 + e_s),
+        v = -e/2,  v1 = xi (2 + e)/2,
+
+    in the tables' precision.  Decimal has no expm1: exp(y) - 1 loses
+    -log10|y| digits, so the exponentials take that many more again for the
+    smallest |y|, xi_0's.
     """
     xi = sd.xi
     n = sd.count
     vh = 0.5 * -np.expm1(-2.0 * xi * x)
     v1h = 0.5 * xi * (1.0 + np.exp(-2.0 * xi * x))
-    pad = math.ceil(math.log10(8.0 * xi[-1] / np.diff(xi).min())) if n > 1 else 0
 
     def build(prec):
         from decimal import Context, Decimal, localcontext
+        pad, xim, isum, idiff, D = tables(prec)
         with localcontext(Context(prec=prec + pad)) as ctx:
             xx = Decimal(float(x))
-            xim = [Decimal(t) for t in xi.tolist()]
             extra = max(0, -(2 * xim[0] * xx).adjusted())
             with localcontext(Context(prec=ctx.prec + extra)):
                 e = [(-2 * t * xx).exp() - 1 for t in xim]
             W = [[None] * n for _ in range(n)]
             for s in range(n):
-                es, xs = e[s], xim[s]
-                W[s][s] = (-(2 * es + es * es) / (2 * xs)
-                           - (2 * xx - 4 * xs * xs / Decimal(float(sd.C[s]))) * (1 + es))
+                es, ps, qs = e[s], isum[s], idiff[s]
+                W[s][s] = -(2 * es + es * es) * ps[0] - (2 * xx - D[s]) * (1 + es)
                 for r in range(s + 1, n):
-                    er, xr = e[r], xim[r]
-                    W[s][r] = W[r][s] = (-(es + er + es * er) / (xs + xr)
-                                         - (er - es) / (xs - xr))
+                    er = e[r]
+                    W[s][r] = W[r][s] = (-(es + er + es * er) * ps[r - s]
+                                         - (er - es) * qs[r - s - 1])
             return W, [-t / 2 for t in e], [t * (2 + u) / 2 for t, u in zip(xim, e)]
 
     return _rank_one_logdet(build_W(x, sd).entries, vh, v1h, 4.0, build)
@@ -300,16 +388,24 @@ def reconstruct_gl0(sd: SpectralData, grid: Sequence,
     qint = np.zeros_like(grid)
     flags = np.zeros(len(grid), dtype=bool)
     escalated = np.zeros(len(grid), dtype=bool)
+    digits = np.zeros(len(grid), dtype=int)
+    loss = np.full(len(grid), np.nan)
     if sd.count:
+        tables = _gl0_tables(sd)
         for i, x in enumerate(grid):
             try:
-                d1, d2, escalated[i] = _gl0_node(sd, x)
+                d1, d2, cert = _gl0_node(sd, x, tables)
                 q[i] = (2.0 / om2) * d2
                 qint[i] = (2.0 / om2) * d1
             except SingularFamilyError:
                 flags[i] = True
+                continue
+            if cert is not None:
+                escalated[i] = True
+                digits[i], loss[i] = cert
     res = ReconstructionResult(grid=grid, Q_rec=q, Q_int=qint, method="gl0",
-                               flags=flags, escalated=escalated)
+                               flags=flags, escalated=escalated,
+                               exact_digits=digits, exact_loss=loss)
     return _attach_errors(res, ref)
 
 
@@ -437,7 +533,6 @@ def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = 
     q = np.zeros(len(xs))
     qint = np.zeros(len(xs))
     flags = np.zeros(len(xs), dtype=bool)
-    escalated = np.zeros(len(xs), dtype=bool)
     N = sd.count
     cache = _scaled_transformed_sinh(sd, kf) if N else None
     for k, i in enumerate(snap):
@@ -451,13 +546,13 @@ def reconstruct_glm(sd: SpectralData, grid: Sequence, n_kernel: Optional[int] = 
         try:
             # entries are float64-accurate only, so the float64 solve is
             # final: an exact solve of rounded entries recovers no digits
-            d1, d2, escalated[k] = _rank_one_logdet(T, Fh[:, i], F1h[:, i], 4.0)
+            d1, d2, _ = _rank_one_logdet(T, Fh[:, i], F1h[:, i], 4.0)
             q[k] = (2.0 / om2) * (-dd + d2)
             qint[k] = (2.0 / om2) * (-float(np.real(kf.diag[i])) + d1)
         except SingularFamilyError:
             flags[k] = True
     res = ReconstructionResult(grid=xs, Q_rec=q, Q_int=qint, method="glm",
-                               flags=flags, escalated=escalated)
+                               flags=flags, escalated=np.zeros(len(xs), dtype=bool))
     return _attach_errors(res, ref)
 
 
@@ -488,7 +583,6 @@ def lax_levermore(eta: Sequence, c: Sequence, epsilon: float,
     u = np.zeros_like(grid)
     uint = np.zeros_like(grid)
     flags = np.zeros(len(grid), dtype=bool)
-    escalated = np.zeros(len(grid), dtype=bool)
     if n:
         sig = eta[:, None] + eta[None, :]
 
@@ -501,11 +595,11 @@ def lax_levermore(eta: Sequence, c: Sequence, epsilon: float,
         base = _rank_one_logdet(*family(0.0), -1.0)[0]
         for i, x in enumerate(grid):
             try:
-                d1, d2, escalated[i] = _rank_one_logdet(*family(x), -1.0)
+                d1, d2, _ = _rank_one_logdet(*family(x), -1.0)
                 u[i] = -2.0 * epsilon**2 * d2
                 uint[i] = -2.0 * epsilon**2 * (d1 - base)
             except SingularFamilyError:
                 flags[i] = True
     return ReconstructionResult(grid=grid, Q_rec=-u, Q_int=-uint,
                                 method="lax_levermore", flags=flags,
-                                escalated=escalated)
+                                escalated=np.zeros(len(grid), dtype=bool))

@@ -109,7 +109,9 @@ def theta_plus(p: Potential, eta: float) -> float:
     s = np.sin(th)
     y = xp / s
     q = eval_potential(p, y, 0)
-    val = eta - np.sqrt(np.maximum(e2 - q, 0.0))
+    # eta - sqrt(eta^2 - Q), rationalised: the difference cancels on the
+    # far tail, where Q << eta^2
+    val = q / (eta + np.sqrt(np.maximum(e2 - q, 0.0)))
     jac = xp * np.cos(th) / (s * s)
     return float(eta * xp + np.dot(w, val * jac))
 

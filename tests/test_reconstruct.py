@@ -193,11 +193,20 @@ def _exact_hilbert(n, u, u1, calls):
     return entries
 
 
-def test_logdet_d2_matches_finite_differences_random():
+def test_logdet_d2_matches_finite_differences_random(monkeypatch):
     # random SPD S and the float64 Hilbert S (rcond ~1e-10 at n = 8, ~1e-16
     # at n = 12) take the float64 Cholesky path; the Hilbert S given exactly
-    # through exact_entries take the exact decimal path.  v = S u keeps
+    # through exact_entries take the exact decimal path, whose entries are
+    # built once for the fd reference and once per solve.  v = S u keeps
     # v^T S^-1 v of order one however ill-conditioned S is
+    solves = []
+    real = R._exact_cholesky_forms
+
+    def spy(M, v, v1):
+        solves.append(len(v))
+        return real(M, v, v1)
+
+    monkeypatch.setattr(R, "_exact_cholesky_forms", spy)
     rng = np.random.default_rng(7)
     cases = []
     for _ in range(6):
@@ -215,9 +224,10 @@ def test_logdet_d2_matches_finite_differences_random():
         calls = []
         entries = None if hu is None else _exact_hilbert(*hu, calls)
         fd1, fd2 = _mp_fd_logdet(S, v, v1, s, exact_entries=entries)
-        d1, d2, exact = _rank_one_logdet(S, v, v1, s, entries)
-        assert len(calls) == (0 if hu is None else 2)
-        assert exact == (hu is not None)
+        solves.clear()
+        d1, d2, cert = _rank_one_logdet(S, v, v1, s, entries)
+        assert len(calls) == (0 if hu is None else 1 + len(solves))
+        assert (cert is not None) == (hu is not None)
         assert abs(d1 - fd1) < 1e-5
         assert abs(d2 - fd2) < 1e-5
 
@@ -285,6 +295,10 @@ def test_gl0_escalation_is_reported():
     res = reconstruct_gl0(_bench_sd(), np.linspace(0.0, 2.0, 81))
     assert int(res.escalated.sum()) == 68
     assert not res.flags.any()
+    # the first guess of digits certifies every node: none is solved again
+    esc = res.escalated
+    assert np.all(res.exact_digits[esc] == R._exact_digits(20))
+    assert np.all(res.exact_digits[~esc] == 0) and np.all(np.isnan(res.exact_loss[~esc]))
 
 
 def _per_entry_W(mp, xi, C, x):
@@ -310,19 +324,23 @@ def _per_entry_W(mp, xi, C, x):
     return Wm, v, v1
 
 
+def _case_sd(case):
+    if case == "q1_omega40":
+        return _bench_sd(), np.linspace(0.0, 2.0, 81)
+    xi = np.linspace(0.5, 30.0, 14)
+    return _sd(xi, np.exp(xi), omega=40.0), np.linspace(1.0, 1.4, 17)
+
+
 @pytest.mark.parametrize("case", ["q1_omega40", "14_states"])
 def test_gl0_exact_entries_and_cholesky_match_references(case, monkeypatch):
     # the entries built from N expm1 values agree with the per-entry build
     # at 40 more digits to all but 10 of the solve's digits, and no worse
     # than the per-entry build at the solve's own precision; the exact
-    # Cholesky forms agree with an LU solve of the same entries
-    if case == "q1_omega40":
-        sd = _bench_sd()
-    else:
-        xi = np.linspace(0.5, 30.0, 14)
-        sd = _sd(xi, np.exp(xi), omega=40.0)
+    # Cholesky forms agree with an LU solve of the same entries.  The
+    # precision is the one the node's certificate settled on
+    sd = _case_sd(case)[0]
     n = sd.count
-    dps = R._exact_digits(n)
+    tables = R._gl0_tables(sd)
     real = R._rank_one_logdet
     built = []
 
@@ -332,8 +350,15 @@ def test_gl0_exact_entries_and_cholesky_match_references(case, monkeypatch):
 
     monkeypatch.setattr(R, "_rank_one_logdet", spy)
     for x in (1e-3, 0.05, 0.325, 1.0, 2.0):
-        R._gl0_node(sd, x)
+        node_cert = R._gl0_node(sd, x, tables)[2]
         vh, v1h, build = built.pop()
+        # a zero diagonal sends the solve to the exact entries; the float64
+        # M is all zeros, so the certificate reads M's decimal diagonal, and
+        # it matches the node's own where the node escalated
+        d1, d2, cert = real(np.zeros((n, n)), vh, v1h, 4.0, build)
+        dps, loss = cert
+        assert math.isfinite(loss) and dps - loss >= R._CERTIFIED_DIGITS
+        assert node_cert is None or node_cert == cert
         with localcontext(Context(prec=dps)):
             entries = build(dps)
         with mp.workdps(dps):
@@ -350,9 +375,6 @@ def test_gl0_exact_entries_and_cholesky_match_references(case, monkeypatch):
             worst = max(abs(W[s][r] / Wr[s, r] - 1) for s in range(n) for r in range(n))
             worst_old = max(abs(Wo[s, r] / Wr[s, r] - 1) for s in range(n) for r in range(n))
             assert worst <= worst_old
-        # a zero diagonal sends the solve to the exact entries
-        d1, d2, exact = real(np.zeros((n, n)), vh, v1h, 4.0, build)
-        assert exact
         with mp.workdps(dps):
             z = mp.lu_solve(mp.matrix(W), mp.matrix(v))
             d1r = 4 * mp.fdot(v, z)
@@ -362,30 +384,87 @@ def test_gl0_exact_entries_and_cholesky_match_references(case, monkeypatch):
         assert abs(d2 - d2r) <= 1e-14 * abs(d2r)
 
 
-@pytest.mark.parametrize("case", ["q1_omega40", "14_states"])
-def test_gl0_decimal_cholesky_matches_mpmath(case, monkeypatch):
-    # at every escalated node the decimal Cholesky's two forms agree with the
-    # mpmath Cholesky's on the same entries at the same digits
-    if case == "q1_omega40":
-        sd, grid = _bench_sd(), np.linspace(0.0, 2.0, 81)
-    else:
-        xi = np.linspace(0.5, 30.0, 14)
-        sd, grid = _sd(xi, np.exp(xi), omega=40.0), np.linspace(1.0, 1.4, 17)
+def _spy_solves(monkeypatch):
+    """Log (prec, M, v, v1, forms) of every exact Cholesky solve."""
+    import decimal
     real = R._exact_cholesky_forms
     solved = []
 
     def spy(M, v, v1):
         forms = real(M, v, v1)
-        solved.append((M, v, v1, forms))
+        solved.append((decimal.getcontext().prec, M, v, v1, forms))
         return forms
 
     monkeypatch.setattr(R, "_exact_cholesky_forms", spy)
+    return solved
+
+
+@pytest.mark.parametrize("case", ["q1_omega40", "14_states"])
+def test_gl0_decimal_cholesky_matches_mpmath(case, monkeypatch):
+    # at every exact solve the decimal Cholesky's two forms agree with the
+    # mpmath Cholesky's on the same entries at the same digits; each node's
+    # last solve ran at the digits the node records (a re-solve only adds
+    # digits, and the next node starts again from the first guess)
+    sd, grid = _case_sd(case)
+    solved = _spy_solves(monkeypatch)
     res = reconstruct_gl0(sd, grid)
-    assert len(solved) == int(res.escalated.sum()) > 0
-    with mp.workdps(R._exact_digits(sd.count)):
-        for M, v, v1, forms in solved:
-            for got, ref in zip(forms, _mp_cholesky_forms(_mp(M), _mp(v), _mp(v1))):
+    precs = [p for p, *_ in solved]
+    last = [p for p, nxt in zip(precs, precs[1:] + [0]) if nxt <= p]
+    assert last == res.exact_digits[res.escalated].tolist()
+    assert len(last) == int(res.escalated.sum()) > 0
+    for prec, M, v, v1, forms in solved:
+        with mp.workdps(prec):
+            for got, ref in zip(forms[:2], _mp_cholesky_forms(_mp(M), _mp(v), _mp(v1))):
                 assert abs(_mp(got) - ref) <= 1e-15 * abs(ref)
+
+
+def test_gl0_condition_estimate_matches_a_decimal_inverse(monkeypatch):
+    # the certificate's log10 cond1, from a float64 inverse of the rounded
+    # equilibrated factor, agrees with an inverse of the same factor in
+    # decimal at twice the solve's digits
+    solved = _spy_solves(monkeypatch)
+    res = reconstruct_gl0(_bench_sd(), np.array([0.5, 1.0, 2.0]))
+    assert res.escalated.all() and len(solved) == 3
+    for prec, M, _, _, (_, _, L) in solved:
+        n = len(L)
+        with localcontext(Context(prec=2 * prec)):
+            Le = [[L[j][k] / M[j][j].sqrt() if k <= j else Decimal(0)
+                   for k in range(n)] for j in range(n)]
+            # columns of Le^-1 by forward substitution
+            Li = [[Decimal(0)] * n for _ in range(n)]
+            for c in range(n):
+                for j in range(c, n):
+                    t = (1 if j == c else 0) - sum(Le[j][k] * Li[k][c] for k in range(c, j))
+                    Li[j][c] = t / Le[j][j]
+
+            def norm1(A):
+                return max(sum(abs(A[j][k]) for j in range(n)) for k in range(n))
+
+            Me = [[sum(Le[j][k] * Le[i][k] for k in range(n)) for i in range(n)]
+                  for j in range(n)]
+            Mi = [[sum(Li[k][j] * Li[k][i] for k in range(n)) for i in range(n)]
+                  for j in range(n)]
+            ref = float((norm1(Me) * norm1(Mi)).log10())
+        assert ref > 10
+        assert abs(R._factor_loss(M, L) - ref) <= 0.5
+
+
+def test_gl0_resolves_a_node_its_first_guess_leaves_short(monkeypatch):
+    # the 14-state family loses more digits than its first guess leaves to
+    # spare, so every escalated node is solved again with more digits, and
+    # lands where a solve at the fixed 30 + 2.6 N = 66 digits does
+    sd, grid = _case_sd("14_states")
+    res = reconstruct_gl0(sd, grid)
+    esc = res.escalated
+    assert esc.any() and not res.flags.any()
+    assert np.all(res.exact_digits[esc] > R._exact_digits(sd.count))
+    assert np.all(res.exact_digits[esc] - res.exact_loss[esc] >= R._CERTIFIED_DIGITS)
+    monkeypatch.setattr(R, "_exact_digits", lambda n: 66)
+    ref = reconstruct_gl0(sd, grid)
+    assert np.array_equal(ref.escalated, esc) and np.all(ref.exact_digits[esc] == 66)
+    scale = np.max(np.abs(ref.Q_rec))
+    assert np.max(np.abs(res.Q_rec - ref.Q_rec)) <= 1e-15 * scale
+    assert np.max(np.abs(res.Q_int - ref.Q_int)) <= 1e-15 * scale
 
 
 def test_gl0_primitive_is_derivative_of_logdet(q1_sd10):

@@ -55,6 +55,19 @@ def test_theta_plus_against_adaptive_quadrature(q1):
         assert abs(theta_plus(q1, eta) - (eta * xp + tail)) < 1e-6
 
 
+def test_theta_plus_is_smooth_in_eta(q1):
+    # the far-tail integrand eta - sqrt(eta^2 - Q) cancels; rationalised it
+    # keeps theta_plus within 1e-14 relative over 8 ulps of eta at the
+    # omega-10 levels 3 and 6 (the cancelling form spread 3.7e-12, 4.5e-12)
+    prof = wkb_spectrum(q1, 10.0)
+    for j in (3, 6):
+        etas = [prof.eta[j - 1]]
+        for _ in range(7):
+            etas.append(np.nextafter(etas[-1], 2.0))
+        vals = np.array([theta_plus(q1, e) for e in etas])
+        assert np.ptp(vals) <= 1e-14 * np.max(np.abs(vals))
+
+
 def test_predicted_count_matches_integer_part(q1):
     # action(0) = pi exactly for this profile, so the count is [omega]
     for om in (10.0, 20.0, 40.0):
