@@ -32,8 +32,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
-from scipy.linalg.lapack import dpocon
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon, dtrtri
 
 from .forward import SpectralData
 from . import glkernel
@@ -184,18 +184,26 @@ def _factor_loss(M: list, L: list) -> float:
     """log10 cond1 of the diagonally equilibrated M, read off its factor.
 
     With Le = D^-1/2 L, D the decimal diagonal of M, Me = Le Le^T and
-    cond1(Me) = ||Me||_1 ||Le^-T Le^-1||_1.  Le is rounded to float64 and
-    inverted there: a triangular inverse keeps its relative accuracy far
-    past 1/eps, so the estimate needs none of the factor's extra digits
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 8 and 15).
+    cond1(Me) = ||Me||_1 ||Le^-T Le^-1||_1, with the inverse formed
+    explicitly (O(N^3) in float64 against the factor's O(N^3) in decimal).
+    Le is rounded to float64 and inverted there: triangular inverses are
+    often far more accurate than their condition number suggests (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 8): on q1's
+    gl0 families it reads the log10 cond1 of a decimal inverse at twice the
+    digits to within 0.01, up to cond1 = 1e90 at N = 80.
     """
     n = len(L)
     Le = np.zeros((n, n))
     Le[np.tril_indices(n)] = [float(t) for row in L for t in row]
     Le /= np.sqrt([float(M[j][j]) for j in range(n)])[:, None]
-    # a non-finite Le (a diagonal below float64's range) gives a non-finite
-    # loss, which the caller rejects
-    Li = solve_triangular(Le, np.eye(n), lower=True, check_finite=False)
+    # LAPACK's triangular inverse: solve_triangular against the identity
+    # took about 8 ms a call at N = 20 once cho_factor had run in the
+    # process (threaded BLAS), dtrtri about 4 us.  A zero or non-finite
+    # diagonal (one below float64's range) gives a non-finite loss, which
+    # the caller rejects
+    Li, info = dtrtri(Le, lower=1)
+    if info:
+        return math.inf
     return math.log10(np.abs(Le @ Le.T).sum(axis=0).max()
                       * np.abs(Li.T @ Li).sum(axis=0).max())
 
@@ -217,7 +225,7 @@ def _rank_one_logdet(M: np.ndarray, v: np.ndarray, v1: np.ndarray, s: float,
     grows like e^(cN), which no rescaling repairs.  `_exact_cholesky_forms`
     then runs in a decimal context of `digits` digits, first
     _exact_digits(N), inside which exact_entries is called; it may build its
-    entries with more digits than prec, but not fewer.  Each solve is
+    entries with more digits than that, but not fewer.  Each solve is
     certified: loss = log10 cond1 of the equilibrated M (`_factor_loss`)
     plus log10((|2 s v1^T M^-1 v| + d1^2) / |d2|), the cancellation in d2.
     When digits - loss falls below _CERTIFIED_DIGITS the node is solved

@@ -1,5 +1,5 @@
 import math
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from pathlib import Path
 
 import mpmath as mp
@@ -199,14 +199,7 @@ def test_logdet_d2_matches_finite_differences_random(monkeypatch):
     # through exact_entries take the exact decimal path, whose entries are
     # built once for the fd reference and once per solve.  v = S u keeps
     # v^T S^-1 v of order one however ill-conditioned S is
-    solves = []
-    real = R._exact_cholesky_forms
-
-    def spy(M, v, v1):
-        solves.append(len(v))
-        return real(M, v, v1)
-
-    monkeypatch.setattr(R, "_exact_cholesky_forms", spy)
+    solves = _spy_solves(monkeypatch)
     rng = np.random.default_rng(7)
     cases = []
     for _ in range(6):
@@ -386,13 +379,12 @@ def test_gl0_exact_entries_and_cholesky_match_references(case, monkeypatch):
 
 def _spy_solves(monkeypatch):
     """Log (prec, M, v, v1, forms) of every exact Cholesky solve."""
-    import decimal
     real = R._exact_cholesky_forms
     solved = []
 
     def spy(M, v, v1):
         forms = real(M, v, v1)
-        solved.append((decimal.getcontext().prec, M, v, v1, forms))
+        solved.append((getcontext().prec, M, v, v1, forms))
         return forms
 
     monkeypatch.setattr(R, "_exact_cholesky_forms", spy)
@@ -452,7 +444,7 @@ def test_gl0_condition_estimate_matches_a_decimal_inverse(monkeypatch):
 def test_gl0_resolves_a_node_its_first_guess_leaves_short(monkeypatch):
     # the 14-state family loses more digits than its first guess leaves to
     # spare, so every escalated node is solved again with more digits, and
-    # lands where a solve at the fixed 30 + 2.6 N = 66 digits does
+    # lands where a solve at a fixed 66 digits, three times its loss, does
     sd, grid = _case_sd("14_states")
     res = reconstruct_gl0(sd, grid)
     esc = res.escalated
